@@ -1,10 +1,11 @@
 # Flick-Go build targets. `make ci` is the full gate: vet, build, the
 # flick-lint ownership analyzers, race-enabled tests (which include the
-# rt allocation guard), and the generated-stub drift check.
+# rt allocation guard), the benchmark module's own vet and self-tests,
+# and the generated-stub drift check.
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race bench bench-rt chaos chaos-short fleet fleet-short trace trace-short stream stream-short zerocopy zerocopy-short drain drain-short bench-json generate generate-check stats ci
+.PHONY: all build vet lint test test-race test-bench bench bench-rt chaos chaos-short fleet fleet-short trace trace-short stream stream-short zerocopy zerocopy-short drain drain-short bench-json generate generate-check stats ci
 
 all: build
 
@@ -25,6 +26,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# bench/ is a module of its own, outside ./... : vet it and run its
+# self-tests (BENCHMARK.json matches the harness; a short run of all six
+# workloads) from here.
+test-bench:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
 
 # Root-level benchmarks (the paper's tables/figures as testing.B).
 bench:
@@ -139,4 +147,4 @@ stats:
 	$(GO) run ./cmd/flick-bench -exp pipeline
 	$(GO) run ./cmd/flick-stats -rounds 50
 
-ci: vet build lint test-race generate-check
+ci: vet build lint test-race test-bench generate-check

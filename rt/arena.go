@@ -13,9 +13,21 @@
 // Only conns implementing the arenaOwner marker participate: a wrapper
 // that hands out sub-slices of a shared frame (BatchConn) must never
 // have one message's backing array recycled under its siblings.
+//
+// Retention differs by class. The small and mid classes are sync.Pools,
+// which the collector empties: a 4 K or 64 K allocation now and then.
+// The big class is a bounded free list that survives collection, and
+// while alias views are pinning its buffers a miss allocates the
+// message size, so a pin costs what the message weighs. There are three
+// classes on purpose: classes between 64 K and 1 M measured −18 % ops/s
+// and +30 % p99 on the bench's dirs_fetch workload, whose pooled 1 MiB
+// buffers are the heap ballast pacing its collector (DESIGN.md §14.2).
 package rt
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Arena size classes. Most RPC messages fit the small class; the large
 // classes serve the bulk-payload workloads the zero-copy path targets.
@@ -25,15 +37,32 @@ const (
 	arenaBig   = 1 << 20
 )
 
-// arenaPools hold *[]byte boxes (no New: a miss returns nil and the
-// caller allocates). The boxes themselves recycle through boxPool so a
-// put never allocates a fresh slice-header box — the arena must not
-// add a hidden allocation to the per-call fast path it exists to trim.
-var arenaPools [3]sync.Pool
+// arenaPools hold the small and mid classes as *[]byte boxes (no New: a
+// miss returns nil and the caller allocates). The boxes themselves
+// recycle through boxPool so a put never allocates a fresh slice-header
+// box — the arena must not add a hidden allocation to the per-call fast
+// path it exists to trim.
+var arenaPools [2]sync.Pool
 
 var boxPool = sync.Pool{New: func() any { return new([]byte) }}
 
 var arenaClassSize = [3]int{arenaSmall, arenaMid, arenaBig}
+
+// arenaBigFree holds the big class on a free list that survives
+// collection: a sync.Pool is emptied every second GC cycle, and a bulk
+// workload collects hundreds of times a second. It is bounded — at most
+// arenaBigDepth buffers (4 MiB) are retained, one per direction of two
+// bulk connections — and a put that finds it full drops the buffer.
+var arenaBigFree = make(chan []byte, arenaBigDepth)
+
+const arenaBigDepth = 4
+
+// arenaBigPinned records that the last big-class buffer released was
+// pinned by alias views. Pinned buffers never come back, so while it is
+// set a big-class miss allocates the page-rounded message size instead
+// of padding to the class. Such a buffer matches no class; releasing
+// one un-aliased clears the flag, and misses pad (and recycle) again.
+var arenaBigPinned atomic.Bool
 
 func arenaClass(n int) int {
 	switch {
@@ -56,7 +85,16 @@ func getArenaBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	zcCounters.arenaGets.Add(1)
-	if bp, _ := arenaPools[cl].Get().(*[]byte); bp != nil {
+	if cl == 2 {
+		select {
+		case b := <-arenaBigFree:
+			return b[:n]
+		default:
+		}
+		if arenaBigPinned.Load() {
+			return make([]byte, (n+arenaSmall-1)&^(arenaSmall-1))[:n]
+		}
+	} else if bp, _ := arenaPools[cl].Get().(*[]byte); bp != nil {
 		b := *bp
 		*bp = nil
 		boxPool.Put(bp)
@@ -67,10 +105,10 @@ func getArenaBuf(n int) []byte {
 	return make([]byte, arenaClassSize[cl])[:n]
 }
 
-// putArenaBuf recycles a buffer previously handed out by getArenaBuf.
-// Buffers whose capacity matches no class (oversized allocations, or
-// multi-fragment messages that outgrew their first buffer) are dropped
-// to the garbage collector.
+// putArenaBuf recycles a buffer previously handed out by getArenaBuf
+// (nil is ignored). Buffers whose capacity matches no class (oversized
+// or message-sized allocations) are dropped to the garbage collector.
+// Only a buffer that re-enters a pool counts as a put.
 func putArenaBuf(b []byte) {
 	var cl int
 	switch cap(b) {
@@ -79,14 +117,32 @@ func putArenaBuf(b []byte) {
 	case arenaMid:
 		cl = 1
 	case arenaBig:
-		cl = 2
+		select {
+		case arenaBigFree <- b[:arenaBig]:
+			zcCounters.arenaPuts.Add(1)
+		default:
+		}
+		return
 	default:
+		if arenaClass(cap(b)) == 2 {
+			arenaBigPinned.Store(false)
+		}
 		return
 	}
 	zcCounters.arenaPuts.Add(1)
 	bp := boxPool.Get().(*[]byte)
 	*bp = b[:cap(b)]
 	arenaPools[cl].Put(bp)
+}
+
+// pinArenaBuf settles a buffer whose recycle is forfeited because alias
+// views into it are outstanding: the views own it now and the garbage
+// collector reclaims it when they die.
+func pinArenaBuf(b []byte) {
+	zcCounters.arenaPinned.Add(1)
+	if arenaClass(cap(b)) == 2 {
+		arenaBigPinned.Store(true)
+	}
 }
 
 // arenaOwner marks transports whose Recv buffers the receiver

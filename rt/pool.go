@@ -131,7 +131,7 @@ func putDecoder(d *Decoder) {
 	// it now and the garbage collector reclaims it when they die.
 	if d.arena != nil {
 		if d.aliased {
-			zcCounters.arenaPinned.Add(1)
+			pinArenaBuf(d.arena)
 		} else {
 			putArenaBuf(d.arena)
 		}

@@ -1,11 +1,13 @@
 package rt
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -43,21 +45,31 @@ var ErrClosed = errors.New("rt: transport closed")
 // configured (Server.MaxMessage / SetMaxMessage).
 const defaultMaxMessage = 64 << 20
 
+// readAhead sizes a tcpConn's receive buffer: a small frame costs one
+// read(2) for mark and body together, and pipelined small frames drain
+// several per syscall. A body's remainder at least this long is read
+// straight into its arena buffer, so a bulk payload is copied once.
+const readAhead = 4 << 10
+
 // tcpConn frames messages with the ONC record-marking convention: a u32
 // header whose low 31 bits give the fragment length, high bit set on the
 // last fragment. We always send whole messages as single fragments.
 type tcpConn struct {
-	c    net.Conn
-	rbuf []byte
-	wmu  sync.Mutex
-	// whdr/wvec are SendVectored's scratch (guarded by wmu): a
-	// persistent record-mark header and iovec list so the writev path
-	// allocates nothing per send.
-	whdr [4]byte
-	wvec [][]byte
+	c net.Conn
+	// rd is Recv's read-ahead buffer (single reader, created on first
+	// use).
+	rd  *bufio.Reader
+	wmu sync.Mutex
+	// whdr/wvec/wbufs are the frame writer's scratch (guarded by wmu):
+	// a persistent record-mark header, the iovec list, and the
+	// net.Buffers value WriteTo consumes — conn fields, so a send
+	// allocates nothing.
+	whdr  [4]byte
+	wvec  [][]byte
+	wbufs net.Buffers
 	// maxMsg bounds received messages. The length field of a record
 	// mark is attacker-controlled, so Recv validates it against this
-	// bound — cumulatively across fragments — *before* allocating the
+	// bound — cumulatively across fragments — *before* drawing the
 	// body buffer: a hostile frame claiming a huge body costs the
 	// attacker a connection, not the server a huge allocation.
 	maxMsg int
@@ -72,15 +84,38 @@ func DialTCP(addr string) (Conn, error) {
 	return &tcpConn{c: c}, nil
 }
 
+// Send writes the record mark and msg with one writev. Holding wmu for
+// the whole write preserves the whole-message serialization the
+// record-marking framing depends on.
 func (t *tcpConn) Send(msg []byte) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(msg))|0x80000000)
-	if _, err := t.c.Write(hdr[:]); err != nil {
-		return err
+	t.wvec = append(t.wvec[:0], t.whdr[:], msg)
+	return t.writeFrame(len(msg))
+}
+
+// SendVectored is Send for a message in several segments (see
+// vector.go): mark and every segment leave in the same single writev.
+func (t *tcpConn) SendVectored(segs [][]byte) error {
+	total := 0
+	for _, s := range segs {
+		total += len(s)
 	}
-	_, err := t.c.Write(msg)
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	t.wvec = append(append(t.wvec[:0], t.whdr[:]), segs...)
+	return t.writeFrame(total)
+}
+
+// writeFrame stamps the mark of an n-byte single-fragment record into
+// whdr and writes wvec (whdr first, then the body). Caller holds wmu.
+func (t *tcpConn) writeFrame(n int) error {
+	binary.BigEndian.PutUint32(t.whdr[:], uint32(n)|0x80000000)
+	t.wbufs = t.wvec
+	_, err := t.wbufs.WriteTo(t.c)
+	// WriteTo consumes wbufs in place but stops at an error; clear the
+	// scratch so the conn never pins the caller's payload.
+	clear(t.wvec)
 	return err
 }
 
@@ -93,40 +128,59 @@ func (t *tcpConn) SetMaxMessage(n int) { t.maxMsg = n }
 func (t *tcpConn) SetReadDeadline(dl time.Time) error { return t.c.SetReadDeadline(dl) }
 
 func (t *tcpConn) Recv() ([]byte, error) {
+	if t.rd == nil {
+		t.rd = bufio.NewReaderSize(t.c, readAhead)
+	}
 	max := t.maxMsg
 	if max <= 0 {
 		max = defaultMaxMessage
 	}
+	// msg is nil until the first fragment draws it from the receive
+	// arena; every error return hands it back (putArenaBuf ignores nil).
 	var msg []byte
 	for {
-		var hdr [4]byte
-		if _, err := io.ReadFull(t.c, hdr[:]); err != nil {
+		hdr, err := t.rd.Peek(4)
+		if err != nil {
+			// Only an EOF between records is a clean close.
+			if err == io.EOF && (len(hdr) > 0 || msg != nil) {
+				err = io.ErrUnexpectedEOF
+			}
+			putArenaBuf(msg)
 			return nil, err
 		}
-		mark := binary.BigEndian.Uint32(hdr[:])
-		n := int(mark & 0x7FFFFFFF)
+		mark := binary.BigEndian.Uint32(hdr)
+		n, off := int(mark&0x7FFFFFFF), len(msg)
 		// Validate the claimed length — including the running total
-		// across fragments, which was previously unbounded — before
-		// allocating or reading a single body byte.
-		if n > max || len(msg)+n > max {
-			return nil, fmt.Errorf("rt: oversized record fragment (%d bytes, %d max)", len(msg)+n, max)
+		// across fragments — before drawing a buffer for, or consuming,
+		// a single body byte.
+		if n > max || off+n > max {
+			putArenaBuf(msg)
+			return nil, fmt.Errorf("rt: oversized record fragment (%d bytes, %d max)", off+n, max)
 		}
-		// The whole message is this conn's to give away, so the first
-		// (usually only) fragment draws from the receive arena — the
-		// decoder recycles it when no alias views escape.
-		if msg == nil {
-			frag := getArenaBuf(n)
-			if _, err := io.ReadFull(t.c, frag); err != nil {
-				putArenaBuf(frag)
-				return nil, err
+		t.rd.Discard(4)
+		// The whole message is this conn's to give away, so it lives in
+		// one arena buffer — the decoder recycles it when no alias views
+		// escape. A continuation fragment extends it in place, moving to
+		// a larger buffer only when the capacity runs out.
+		switch {
+		case msg == nil:
+			msg = getArenaBuf(n)
+		case off+n <= cap(msg):
+			msg = msg[:off+n]
+		default:
+			grown := getArenaBuf(off + n)
+			copy(grown, msg)
+			putArenaBuf(msg)
+			msg = grown
+		}
+		// What read-ahead already holds is copied; the rest of a large
+		// body is read directly into msg.
+		if _, err := io.ReadFull(t.rd, msg[off:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
-			msg = frag
-		} else {
-			frag := make([]byte, n)
-			if _, err := io.ReadFull(t.c, frag); err != nil {
-				return nil, err
-			}
-			msg = append(msg, frag...)
+			putArenaBuf(msg)
+			return nil, err
 		}
 		if mark&0x80000000 != 0 {
 			return msg, nil
@@ -173,11 +227,12 @@ func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 type udpConn struct {
 	c *net.UDPConn
 	// connected marks a dialed (pre-connected) socket, which must use
-	// Write rather than WriteToUDP.
+	// Write rather than WriteToUDPAddrPort.
 	connected bool
 	// peer records the first datagram's source on server-side
-	// (unconnected) conns; replies go back to it.
-	peer *net.UDPAddr
+	// (unconnected) conns; replies go back to it. Held by value: the
+	// AddrPort calls allocate no address per datagram.
+	peer netip.AddrPort
 	rbuf []byte
 }
 
@@ -198,8 +253,8 @@ func (u *udpConn) Send(msg []byte) error {
 	if len(msg) > 64<<10 {
 		return fmt.Errorf("rt: message too large for UDP (%d bytes)", len(msg))
 	}
-	if u.peer != nil {
-		_, err := u.c.WriteToUDP(msg, u.peer)
+	if u.peer.IsValid() {
+		_, err := u.c.WriteToUDPAddrPort(msg, u.peer)
 		return err
 	}
 	_, err := u.c.Write(msg)
@@ -207,11 +262,11 @@ func (u *udpConn) Send(msg []byte) error {
 }
 
 func (u *udpConn) Recv() ([]byte, error) {
-	n, peer, err := u.c.ReadFromUDP(u.rbuf)
+	n, peer, err := u.c.ReadFromUDPAddrPort(u.rbuf)
 	if err != nil {
 		return nil, err
 	}
-	if !u.connected && u.peer == nil && peer != nil {
+	if !u.connected && !u.peer.IsValid() {
 		u.peer = peer
 	}
 	out := getArenaBuf(n)

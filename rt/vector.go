@@ -25,11 +25,7 @@
 // extends unchanged to aliased user memory.
 package rt
 
-import (
-	"encoding/binary"
-	"net"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // ZeroCopyThreshold is the segment size below which PutBytesZC copies
 // instead of aliasing: tiny segments cost more in iovec bookkeeping
@@ -207,29 +203,4 @@ func sendEncoded(c Conn, e *Encoder) error {
 	}
 	zcCounters.flattenedSends.Add(1)
 	return c.Send(e.Bytes())
-}
-
-// SendVectored writes the record mark and every segment with one
-// writev. Holding wmu for the whole scatter write preserves the
-// whole-message serialization the record-marking framing depends on.
-func (t *tcpConn) SendVectored(segs [][]byte) error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	binary.BigEndian.PutUint32(t.whdr[:], uint32(total)|0x80000000)
-	t.wvec = t.wvec[:0]
-	t.wvec = append(t.wvec, t.whdr[:])
-	t.wvec = append(t.wvec, segs...)
-	bufs := net.Buffers(t.wvec)
-	_, err := bufs.WriteTo(t.c)
-	// WriteTo consumes bufs in place; re-nil the scratch so the conn
-	// does not pin the caller's payload until the next send.
-	for i := range t.wvec {
-		t.wvec[i] = nil
-	}
-	t.wvec = t.wvec[:0]
-	return err
 }
