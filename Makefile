@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race test-bench bench bench-rt chaos chaos-short fleet fleet-short trace trace-short stream stream-short zerocopy zerocopy-short drain drain-short bench-json generate generate-check stats ci
+.PHONY: all build vet lint test test-race test-bench bench bench-rt bench-json generate generate-check stats ci
 
 all: build
 
@@ -43,86 +43,71 @@ bench:
 bench-rt:
 	$(GO) test -bench=. -benchmem -run=^$$ ./rt
 
-# The full chaos gate: the 10k-call race-enabled soak plus the fault
-# rate sweep report. CI runs the shortened soak (see chaos-short); run
-# this one locally before touching the fault-tolerance layer.
-chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestFault|TestChecksum|TestFailCloseRace' ./rt ./internal/experiment
-	$(GO) run ./cmd/flick-bench -exp chaos
+# The six runtime gates share one rule: `make <gate>` runs the gate's
+# tests under -race and then its flick-bench sweep report(s);
+# `make <gate> SHORT=1` — spelled `make <gate>-short`, which is what CI
+# runs — passes -short (reduced soaks, same invariants) and skips the
+# sweep, except where SHORT_REPORT_<gate> keeps a reduced report in CI.
+# Run the full gate locally before touching the layer it guards.
+#
+#   chaos     fault-tolerance soak (10k calls; 1500 under -short) + fault-rate sweep
+#   fleet     scale-out fabric: pool, batching, admission, 1k-100k client sweep
+#             (the committed BENCH_fleet.json curve; slow)
+#   trace     traced chaos soak (5% faults, 100% sampling: one well-formed span
+#             tree per call, zero orphans, valid Chrome export), propagation,
+#             and the alloc guard pinning the tracing-disabled path
+#   stream    the three generated surfaces, credit-window invariants,
+#             mid-transfer chaos soak, chunk x window sweep
+#   zerocopy  alloc-guarded vectored round trips, arena soak, arenalife and
+#             zerocopy strict corpus gates, the prover's negative tests
+#   drain     deadlines, cancel frames, breaker half-open, hedging safety, the
+#             rolling-restart drain soak (loss-free clean, classified-only at
+#             5% faults); reports drain and hedge
+GATES := chaos fleet trace stream zerocopy drain
 
-# The CI-sized soak: same invariants, fewer calls (-short drops the
-# soak to 1500 calls and skips the reproducibility sweep).
-chaos-short:
-	$(GO) test -race -short -count=1 -run 'TestChaos|TestFault|TestChecksum|TestFailCloseRace' ./rt ./internal/experiment
+RUN_chaos    := TestChaos|TestFault|TestChecksum|TestFailCloseRace
+PKGS_chaos   := ./rt ./internal/experiment
+REPORT_chaos := chaos
 
-# The scale-out fabric gate: the full 1k-100k client sweep (slow; the
-# committed BENCH_fleet.json curve) plus the race-enabled acceptance
-# test. CI runs fleet-short.
-fleet:
-	$(GO) test -race -count=1 -run 'TestFleet|TestPool|TestBatch|TestAdmission' ./rt ./internal/experiment
-	$(GO) run ./cmd/flick-bench -exp fleet
+RUN_fleet          := TestFleet|TestPool|TestBatch|TestAdmission|TestChaosPooled
+PKGS_fleet         := ./rt ./internal/experiment
+REPORT_fleet       := fleet
+SHORT_REPORT_fleet := fleet
 
-# The CI-sized fabric gate: reduced sweep under -race, plus the pooled
-# chaos soak and the reduced fleet report.
-fleet-short:
-	$(GO) test -race -short -count=1 -run 'TestFleet|TestPool|TestBatch|TestAdmission|TestChaosPooled' ./rt ./internal/experiment
-	$(GO) run ./cmd/flick-bench -exp fleet -short
+RUN_trace    := TestTraceSoak|TestTracePropagates|TestTracingDisabledAllocs|TestDupCachedResend|TestPoolFailoverKeepsTrace
+PKGS_trace   := ./rt ./internal/experiment
+REPORT_trace := trace
 
-# The tracing gate: the traced chaos soak (5% faults, 100% sampling —
-# every call must yield one well-formed span tree, zero orphans, valid
-# Chrome export) plus the sampling-overhead report and the alloc guard
-# pinning the tracing-disabled call path. CI runs trace-short.
-trace:
-	$(GO) test -race -count=1 -run 'TestTraceSoak|TestTracePropagates|TestTracingDisabledAllocs' ./rt ./internal/experiment
-	$(GO) run ./cmd/flick-bench -exp trace
+RUN_stream    := TestStream|TestBlob|TestAsync|TestPromise
+PKGS_stream   := ./rt ./internal/streamstubs ./internal/teststubs ./internal/experiment
+REPORT_stream := stream
 
-# The CI-sized tracing gate: reduced soak under -race plus the
-# propagation and alloc-guard tests.
-trace-short:
-	$(GO) test -race -short -count=1 -run 'TestTraceSoak|TestTracePropagates|TestTracingDisabledAllocs|TestDupCachedResend|TestPoolFailoverKeepsTrace' ./rt ./internal/experiment
+RUN_zerocopy    := TestZeroCopy|TestArenaLife|TestVerifyCorpusZeroCopy|TestLintCorpus
+PKGS_zerocopy   := ./internal/zcstubs ./internal/lint ./internal/verify .
+REPORT_zerocopy := zerocopy
 
-# The streaming gate: surface round-trips over all three generated
-# presentation surfaces, the credit-window invariants, the mid-transfer
-# chaos soak (kill/corrupt a stream at 5% faults; complete delivery or
-# a classified error, zero leaks), and the chunk x window sweep. CI
-# runs stream-short.
-stream:
-	$(GO) test -race -count=1 -run 'TestStream|TestBlob|TestAsync|TestPromise' ./rt ./internal/streamstubs ./internal/teststubs ./internal/experiment
-	$(GO) run ./cmd/flick-bench -exp stream
+RUN_drain          := TestDeadline|TestExpired|TestClientMapsReplyExpired|TestCtx|TestDrain|TestGoAway|TestBreakerHalfOpen|TestDupCacheAcrossRedial|TestNonIdempotentNeverHedges|TestChaosDrain|TestHedgeTail
+PKGS_drain         := ./rt ./internal/experiment
+REPORT_drain       := drain hedge
+SHORT_REPORT_drain := drain
 
-# The CI-sized streaming gate: same invariants and soak under -race,
-# without the sweep report.
-stream-short:
-	$(GO) test -race -short -count=1 -run 'TestStream|TestBlob|TestAsync|TestPromise' ./rt ./internal/streamstubs ./internal/teststubs ./internal/experiment
+SHORTFLAG := $(if $(SHORT),-short)
 
-# The zero-copy gate: the alloc-guarded vectored round trips, the arena
-# soak, the arenalife/zerocopy strict corpus gates, and the prover's
-# negative tests, all under -race, then the payload sweep report. CI
-# runs zerocopy-short.
-zerocopy:
-	$(GO) test -race -count=1 -run 'TestZeroCopy|TestArenaLife|TestVerifyCorpusZeroCopy|TestLintCorpus' ./internal/zcstubs ./internal/lint ./internal/verify .
-	$(GO) run ./cmd/flick-bench -exp zerocopy
+# One flick-bench report per line of the recipe (the blank line is the
+# separator foreach needs).
+define report
+$(GO) run ./cmd/flick-bench -exp $(1) $(SHORTFLAG)
 
-# The CI-sized zero-copy gate: same invariants, shortened soak, no
-# sweep report.
-zerocopy-short:
-	$(GO) test -race -short -count=1 -run 'TestZeroCopy|TestArenaLife|TestVerifyCorpusZeroCopy|TestLintCorpus' ./internal/zcstubs ./internal/lint ./internal/verify .
+endef
 
-# The lifecycle gate: deadline propagation, cancel frames, breaker
-# half-open discipline, hedging safety, and the rolling-restart drain
-# soak (loss-free on a clean link, classified-only under 5% faults),
-# all under -race, then the drain and hedge reports. CI runs
-# drain-short.
-drain:
-	$(GO) test -race -count=1 -run 'TestDeadline|TestExpired|TestClientMapsReplyExpired|TestCtx|TestDrain|TestGoAway|TestBreakerHalfOpen|TestDupCacheAcrossRedial|TestNonIdempotentNeverHedges|TestChaosDrain|TestHedgeTail' ./rt ./internal/experiment
-	$(GO) run ./cmd/flick-bench -exp drain
-	$(GO) run ./cmd/flick-bench -exp hedge
+.PHONY: $(GATES) $(GATES:%=%-short)
 
-# The CI-sized lifecycle gate: same invariants and soaks under -race
-# with reduced call counts, plus the CI-sized drain report.
-drain-short:
-	$(GO) test -race -short -count=1 -run 'TestDeadline|TestExpired|TestClientMapsReplyExpired|TestCtx|TestDrain|TestGoAway|TestBreakerHalfOpen|TestDupCacheAcrossRedial|TestNonIdempotentNeverHedges|TestChaosDrain|TestHedgeTail' ./rt ./internal/experiment
-	$(GO) run ./cmd/flick-bench -exp drain -short
+$(GATES): %:
+	$(GO) test -race $(SHORTFLAG) -count=1 -run '$(RUN_$*)' $(PKGS_$*)
+	$(foreach exp,$(if $(SHORT),$(SHORT_REPORT_$*),$(REPORT_$*)),$(call report,$(exp)))
+
+$(GATES:%=%-short): %-short:
+	$(MAKE) $* SHORT=1
 
 # Regenerate the committed machine-readable benchmark curves.
 bench-json:

@@ -5,8 +5,7 @@
 //
 //	flick-stats                 # text exposition (flick_* lines)
 //	flick-stats -json           # JSON snapshots
-//	flick-stats -trace 1        # also log one line per request to stderr
-//	flick-stats -trace 2        # ... with hex wire dumps
+//	flick-stats -trace out.json # also write every call's span tree (Chrome trace_event JSON)
 //	flick-stats -rounds 1000 -payload 65536
 package main
 
@@ -43,7 +42,7 @@ func main() {
 	rounds := flag.Int("rounds", 100, "workload rounds (each round is 5 calls)")
 	payload := flag.Int("payload", 4096, "encoded payload bytes per array argument")
 	asJSON := flag.Bool("json", false, "dump JSON snapshots instead of text exposition")
-	traceLevel := flag.Int("trace", -1, "attach a LogHook at this verbosity (0=errors, 1=all, 2=+wire dumps)")
+	traceFile := flag.String("trace", "", "sample every call and write the spans of both ends to this `file` as Chrome trace_event JSON")
 	flag.Parse()
 
 	serverMetrics := rt.NewMetrics()
@@ -52,8 +51,10 @@ func main() {
 	clientEnd, serverEnd := rt.Pipe()
 	srv := rt.NewServer(rt.ONC{})
 	srv.Metrics = serverMetrics
-	if *traceLevel >= 0 {
-		srv.Hooks = &rt.LogHook{W: os.Stderr, Verbosity: *traceLevel}
+	var tracer *rt.Tracer
+	if *traceFile != "" {
+		tracer = &rt.Tracer{SampleRate: 1}
+		srv.Tracer = tracer
 	}
 	ts.RegisterBenchXDR(srv, &impl{})
 	done := make(chan struct{})
@@ -61,6 +62,7 @@ func main() {
 
 	c := ts.NewBenchXDRClient(clientEnd)
 	c.C.Metrics = clientMetrics
+	c.C.Tracer = tracer
 
 	ints := make([]int32, *payload/4)
 	for i := range ints {
@@ -80,6 +82,9 @@ func main() {
 	}
 	clientEnd.Close()
 	<-done
+	if tracer != nil {
+		must(writeTrace(*traceFile, tracer))
+	}
 
 	if *asJSON {
 		dumpJSON("client", clientMetrics)
@@ -103,6 +108,18 @@ func makeDirs(bytes int) []ts.BenchDirEntry {
 		v[i].Name = string(name)
 	}
 	return v
+}
+
+func writeTrace(path string, tracer *rt.Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tracer.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func dumpJSON(label string, m *rt.Metrics) {

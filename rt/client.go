@@ -127,6 +127,25 @@ func (s *session) forget(xid uint32) bool {
 	return ok
 }
 
+// register enters a reply slot — or, for a stream open, the stream —
+// under xid, and reports whether the caller must start the session's
+// reply reader. A poisoned session registers nothing.
+func (s *session) register(xid uint32, ca *call, st *ClientStream) (startReader bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failed != nil {
+		return false, s.failed
+	}
+	if st != nil {
+		s.streams[xid] = st
+	} else {
+		s.pending[xid] = ca
+	}
+	startReader = !s.readerOn
+	s.readerOn = true
+	return startReader, nil
+}
+
 // fail poisons the session with err (first failure wins) and drains
 // every pending call with it. Safe to call from multiple goroutines
 // concurrently (reader on receive error, Close, a redialing caller):
@@ -213,12 +232,10 @@ type Client struct {
 	// Metrics, when non-nil, collects per-operation call/error counts,
 	// latency histograms, byte totals, encoder/decoder space-check
 	// counters, fault-tolerance counters (Retries, Reconnects,
-	// BreakerOpen, BreakerRejects), and the InFlight gauge. Hooks, when
-	// non-nil, receives one TraceEvent per call. Both must be set
-	// before the first Call and not changed after; nil (the default)
+	// BreakerOpen, BreakerRejects), and the InFlight gauge. It must be
+	// set before the first Call and not changed after; nil (the default)
 	// costs one pointer test per call.
 	Metrics *Metrics
-	Hooks   TraceHook
 
 	// Tracer, when non-nil, head-samples calls at its SampleRate and
 	// records call/attempt spans (span.go); sampled calls carry the
@@ -229,9 +246,9 @@ type Client struct {
 	// per call and the unsampled path does not allocate.
 	Tracer *Tracer
 
-	// Shard labels this client's spans and connection-error trace
-	// events with its pool session index (set by ClientPool; 0 for
-	// direct clients). Set before the first Call.
+	// Shard labels this client's spans, connection-error spans included,
+	// with its pool session index (set by ClientPool; 0 for direct
+	// clients). Set before the first Call.
 	Shard int
 
 	// Timeout, when positive, bounds each call attempt's wait for its
@@ -350,8 +367,9 @@ func (c *Client) SessionErr() error {
 // session returns the current healthy session, transparently dialing a
 // replacement when the current one is poisoned and a Redial function is
 // configured. Only one goroutine dials; concurrent callers wait on
-// sessMu and share the fresh session.
-func (c *Client) session(metrics *Metrics, ct *callTrace) (*session, error) {
+// sessMu and share the fresh session. The redial is reported to the
+// observers of the call that triggered it.
+func (c *Client) session(cd *callDesc) (*session, error) {
 	c.sessMu.Lock()
 	defer c.sessMu.Unlock()
 	if c.closed.Load() {
@@ -377,11 +395,11 @@ func (c *Client) session(metrics *Metrics, ct *callTrace) (*session, error) {
 	s.conn.Close()
 	ns := newSession(conn)
 	c.sess = ns
-	if metrics != nil {
-		metrics.Reconnects.Add(1)
+	if cd.metrics != nil {
+		cd.metrics.Reconnects.Add(1)
 	}
-	if ct != nil {
-		ct.event("redial", fmt.Sprintf("reconnected after: %v", ferr))
+	if cd.ct != nil {
+		cd.ct.event("redial", fmt.Sprintf("reconnected after: %v", ferr))
 	}
 	return ns, nil
 }
@@ -424,102 +442,155 @@ func (c *Client) CallIdem(proc uint32, opName string, oneway, idempotent bool, m
 	return c.CallIdemCtx(nil, proc, opName, oneway, idempotent, marshal)
 }
 
-// CallIdemCtx is CallIdem with a caller context for trace continuation
-// (see CallCtx). A nil ctx is allowed and means "no propagated trace".
+// CallIdemCtx is CallIdem with a caller context (see CallCtx). A nil
+// ctx is allowed and means "no propagated trace, deadline, or
+// cancellation". The descriptor lives on this frame: a sync call is an
+// async one whose promise never leaves the stack.
 func (c *Client) CallIdemCtx(ctx context.Context, proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder)) (*Decoder, error) {
-	metrics, hooks, tracer := c.Metrics, c.Hooks, c.Tracer
-	if metrics == nil && hooks == nil && tracer == nil {
-		// Fast path: observability disabled costs exactly the three nil
-		// tests above (no timestamps, no per-call allocation beyond the
-		// transport's own).
-		return c.invoke(ctx, proc, opName, oneway, idempotent, marshal, nil, nil, nil)
-	}
+	// Field by field, not a literal: the compiler builds a literal this
+	// size in a temporary and copies it (~20 ns a call).
+	var cd callDesc
+	cd.c, cd.ctx, cd.proc, cd.op, cd.oneway, cd.idempotent = c, ctx, proc, opName, oneway, idempotent
+	return cd.resolve(cd.issue(marshal), marshal)
+}
 
-	var ev *TraceEvent
-	if hooks != nil {
-		ev = &TraceEvent{Kind: TraceClientCall, Op: opName, Proc: proc, OneWay: oneway}
-	}
-	var ct *callTrace
-	if tracer != nil {
-		// nil when the head declines to sample: the call proceeds with
-		// no tracing state and no wire annotation, allocation-free.
-		ct = startCallTrace(tracer, ctx, SpanClientCall, opName, c.Shard)
-	}
-	begin := time.Now()
-	d, err := c.invoke(ctx, proc, opName, oneway, idempotent, marshal, ev, metrics, ct)
+// callDesc is the one value that *is* a call. Every entry point — sync,
+// async, stream open, pool dispatch — fills in the spec and drives the
+// same four stages over it:
+//
+//	begin    one attempt's transmit half: session (redialing), ctx and
+//	         budget, header + annotations, register-before-send, send
+//	await    the attempt's collect half: the bounded wait for the reply,
+//	         then the attempt span
+//	settle   classification, breaker posting, paced re-attempts
+//	observe  per-op metrics and the call span
+//
+// issue (observers, breaker gate, first begin) and resolve (await,
+// settle, observe) are the two halves a Promise splits across its
+// lifetime; a sync call runs them back to back on a descriptor that
+// never leaves the caller's stack (no method may retain cd).
+//
+// The marshal function is the one part of a call that rides beside the
+// descriptor instead of in it. Escape analysis is field-insensitive:
+// the descriptor's ctx, op and client do reach the heap, so a marshal
+// func stored next to them would be taken to as well, and every
+// generated stub's closure — which captures the call's arguments —
+// would be heap-allocated per call (TestStubClosureStaysOnStack).
+type callDesc struct {
+	// Spec: what to call. c is nil only on a ClientPool's descriptor,
+	// which is re-targeted at one session per attempt (see on).
+	c          *Client
+	ctx        context.Context
+	proc       uint32
+	op         string
+	oneway     bool
+	idempotent bool
+	// stream, when non-nil, makes this a stream open: begin registers it
+	// in the session's stream table instead of a reply slot, so nothing
+	// is awaited.
+	stream *ClientStream
 
-	if metrics != nil {
-		op := metrics.Op(opName)
-		op.Calls.Add(1)
-		if d != nil {
-			op.RepBytes.Add(uint64(d.Size()))
-		}
-		if err != nil {
-			op.Errors.Add(1)
-		}
-		if oneway {
-			metrics.Oneways.Add(1)
-		}
-		op.Latency.Observe(time.Since(begin))
+	// Observers, attached by issue/watch. ct is nil for unsampled calls;
+	// issued is set only when someone observes.
+	metrics *Metrics
+	ct      *callTrace
+	issued  time.Time
+
+	// The attempt in progress, written by begin and consumed by await.
+	s    *session
+	ca   *call // the registered reply slot; nil when nothing is owed
+	xid  uint32
+	sent bool // the request may have reached the peer
+	// attemptID is the open attempt span's ID, the one the wire
+	// annotation carries, so the server's dispatch span parents to
+	// exactly the attempt that sent it.
+	attemptID    uint64
+	attemptBegin time.Time
+}
+
+// on returns the descriptor's spec aimed at one client, with no
+// observers or attempt state: how a pool runs its call on a session.
+func (cd *callDesc) on(c *Client) callDesc {
+	return callDesc{c: c, ctx: cd.ctx, proc: cd.proc, op: cd.op, oneway: cd.oneway, idempotent: cd.idempotent}
+}
+
+// watch attaches the client's observers. With Metrics and Tracer both
+// nil (the default) it costs the two nil tests; an unsampled call gets
+// no tracing state and no wire annotation, allocation-free.
+func (cd *callDesc) watch() {
+	c := cd.c
+	cd.metrics = c.Metrics
+	if tr := c.Tracer; tr != nil {
+		cd.ct = startCallTrace(tr, cd.ctx, SpanClientCall, cd.op, c.Shard)
 	}
-	if hooks != nil {
-		ev.Begin = begin
-		ev.End = time.Now()
-		if d != nil {
-			ev.RepBytes = d.Size()
-			if hooks.WantWire() {
-				ev.RepWire = append([]byte(nil), d.buf...)
-			}
-		}
-		ev.Err = err
-		hooks.Trace(ev)
+	if cd.metrics != nil || c.Tracer != nil {
+		cd.issued = time.Now()
 	}
-	if tracer != nil {
-		if ct != nil {
-			ct.finish(err)
-		} else if err != nil {
-			// Always-sample-on-error: an unsampled failure is still
-			// recorded, as a lone root with a never-propagated trace ID.
-			recordErrorSpan(tracer, SpanClientCall, opName, c.Shard, begin, err)
+}
+
+// issue is the first half of a call: attach observers, pass the breaker
+// gate, and transmit the first attempt. A gate refusal is returned as
+// the bare ErrBreakerOpen, which resolve treats as final.
+func (cd *callDesc) issue(marshal func(*Encoder)) error {
+	cd.watch()
+	if b := cd.c.Breaker; b != nil && !b.allow() {
+		if cd.metrics != nil {
+			cd.metrics.BreakerRejects.Add(1)
+		}
+		cd.ct.event("breaker-reject", "call shed, breaker open")
+		return ErrBreakerOpen
+	}
+	return cd.begin(marshal)
+}
+
+// resolve is the second half: collect the first attempt's reply, run
+// the resilience loop when one is configured (without Retry, Redial and
+// Breaker a call is exactly one raw attempt, errors unwrapped), and
+// report the outcome to the observers.
+func (cd *callDesc) resolve(err error, marshal func(*Encoder)) (*Decoder, error) {
+	var d *Decoder
+	if err != ErrBreakerOpen {
+		d, err = cd.await(err)
+		if c := cd.c; c.Retry != nil || c.Redial != nil || c.Breaker != nil {
+			d, err = cd.settle(d, err, marshal)
 		}
 	}
+	cd.observe(d, err)
 	return d, err
 }
 
-// invoke runs the resilience loop around single call attempts. Without
-// Retry, Redial, and Breaker it is exactly one raw attempt (errors
-// unwrapped, zero added cost). With them it classifies each failure,
-// paces re-attempts with the policy's jittered backoff inside the
-// optional per-call budget, and keeps the breaker posted.
-func (c *Client) invoke(ctx context.Context, proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder), ev *TraceEvent, metrics *Metrics, ct *callTrace) (*Decoder, error) {
-	if c.Retry == nil && c.Redial == nil && c.Breaker == nil {
-		d, err, _ := c.callOnce(ctx, proc, opName, oneway, marshal, ev, metrics, ct)
-		return d, err
-	}
-
-	if b := c.Breaker; b != nil && !b.allow() {
-		if metrics != nil {
-			metrics.BreakerRejects.Add(1)
+// observe finalizes the call's observability: per-op metrics (calls,
+// errors, reply bytes, issue-to-resolve latency) and the call span —
+// or, for an unsampled failure, a lone error span (always-sample-on-
+// error) with a never-propagated trace ID.
+func (cd *callDesc) observe(d *Decoder, err error) {
+	if m := cd.metrics; m != nil {
+		repBytes := 0
+		if d != nil {
+			repBytes = d.Size()
 		}
-		ct.event("breaker-reject", "call shed, breaker open")
-		return nil, ErrBreakerOpen
+		m.Op(cd.op).done(repBytes, err != nil, cd.issued)
+		if cd.oneway {
+			m.Oneways.Add(1)
+		}
 	}
-
-	d, err, sent := c.callOnce(ctx, proc, opName, oneway, marshal, ev, metrics, ct)
-	return c.settleAttempts(ctx, d, err, sent, proc, opName, oneway, idempotent, marshal, ev, metrics, ct)
+	if cd.ct != nil {
+		cd.ct.finish(err)
+	} else if tr := cd.c.Tracer; tr != nil && err != nil {
+		recordErrorSpan(tr, SpanClientCall, cd.op, cd.c.Shard, cd.issued, err)
+	}
 }
 
-// settleAttempts classifies the outcome of an already-made first
-// attempt and, under the retry policy, paces and classifies any
-// remaining attempts. It is the shared second half of the resilience
-// loop: the sync path enters it from invoke immediately after its
-// first attempt, and the async path enters it from Promise.Wait when
-// the pipelined first attempt resolves — which is what makes promise
-// errors classify exactly like sync errors. The retry budget, when
-// set, bounds the re-attempt phase (it opens when settling begins, so
-// an async caller's think time between issue and Wait is not charged
-// against it).
-func (c *Client) settleAttempts(ctx context.Context, d *Decoder, err error, sent bool, proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder), ev *TraceEvent, metrics *Metrics, ct *callTrace) (*Decoder, error) {
+// settle classifies the outcome of an already-made first attempt and,
+// under the retry policy, paces and classifies any remaining attempts.
+// Sync and async calls enter it the same way — from resolve, once the
+// first attempt's reply is in — which is what makes promise errors
+// classify exactly like sync errors. The retry budget, when set, bounds
+// the re-attempt phase (it opens when settling begins, so an async
+// caller's think time between issue and Wait is not charged against
+// it).
+func (cd *callDesc) settle(d *Decoder, err error, marshal func(*Encoder)) (*Decoder, error) {
+	c, ctx, metrics, ct := cd.c, cd.ctx, cd.metrics, cd.ct
 	attempts := 1
 	if c.Retry != nil {
 		attempts = c.Retry.attempts()
@@ -551,174 +622,111 @@ func (c *Client) settleAttempts(ctx context.Context, d *Decoder, err error, sent
 				// The caller gave up mid-backoff: no further attempts.
 				return nil, notRetryable(ctx.Err())
 			}
-			d, err, sent = c.callOnce(ctx, proc, opName, oneway, marshal, ev, metrics, ct)
+			d, err = cd.await(cd.begin(marshal))
 		}
-		if err == nil {
-			if c.Breaker != nil {
-				c.Breaker.success()
-			}
+		if b := c.Breaker; b != nil && (err == nil || errors.Is(err, ErrSystem) || errors.Is(err, ErrExpired) || errors.Is(err, ErrOverloaded)) {
+			// The server answered — a reply, a fault, or a shed — so the
+			// transport works.
+			b.success()
+		}
+		switch {
+		case err == nil:
 			return d, nil
-		}
-		if errors.Is(err, ErrSystem) {
-			// The server answered (with a fault): the transport works,
-			// and retrying would re-execute. Terminal, breaker-healthy.
-			if c.Breaker != nil {
-				c.Breaker.success()
-			}
+		case errors.Is(err, ErrSystem):
+			// Retrying a handler fault would re-execute. Terminal.
 			return nil, err
-		}
-		if errors.Is(err, ErrExpired) {
-			// The server answered by shedding expired work before
-			// dispatch: the transport works (breaker-healthy), but the
-			// end-to-end budget is spent, so retrying cannot help.
-			if c.Breaker != nil {
-				c.Breaker.success()
-			}
+		case errors.Is(err, ErrExpired):
+			// Shed before dispatch, but the end-to-end budget is spent,
+			// so retrying cannot help.
 			ct.event("expired", "server shed the call, propagated deadline passed")
 			return nil, notRetryable(err)
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			// The caller abandoned the call (or its deadline passed):
 			// terminal by definition, and no evidence about transport
 			// health either way, so the breaker is left alone.
 			return nil, notRetryable(err)
-		}
-		if errors.Is(err, ErrOverloaded) {
-			// The server answered by shedding the call before dispatch:
-			// the transport works (breaker-healthy) and the operation
-			// did not execute, so the retry loop re-attempts it under
-			// backoff even when non-idempotent.
-			if c.Breaker != nil {
-				c.Breaker.success()
-			}
+		case errors.Is(err, ErrOverloaded):
+			// Shed before dispatch: the operation did not execute, so the
+			// loop re-attempts it under backoff even when non-idempotent.
 			ct.event("admission-reject", "server shed the call before dispatch")
-			lastErr = err
-			if k+1 >= attempts {
-				break
-			}
-			if !deadline.IsZero() && !time.Now().Before(deadline) {
-				break
-			}
-			continue
-		}
-		if c.closed.Load() {
+		case c.closed.Load():
 			return nil, err
-		}
-		if b := c.Breaker; b != nil {
-			if b.failure() {
+		default:
+			if b := c.Breaker; b != nil && b.failure() {
 				if metrics != nil {
 					metrics.BreakerOpen.Add(1)
 				}
 				ct.event("breaker-open", "consecutive failures tripped the breaker")
 			}
-		}
-		if !idempotent && sent {
-			// The request may have reached the server; re-sending a
-			// non-idempotent operation could execute it twice.
-			return nil, notRetryable(err)
+			if !cd.idempotent && cd.sent {
+				// The request may have reached the server; re-sending a
+				// non-idempotent operation could execute it twice.
+				return nil, notRetryable(err)
+			}
 		}
 		lastErr = err
-		if k+1 >= attempts {
-			break
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
+		if k+1 >= attempts || (!deadline.IsZero() && !time.Now().Before(deadline)) {
 			break
 		}
 	}
 	return nil, retryable(lastErr)
 }
 
-// callOnce is one attempt (see callAttempt). When the call is sampled
-// (ct non-nil) it wraps the attempt in a SpanAttempt child span whose
-// ID is the one propagated in the wire annotation, so the server-side
-// dispatch span parents to exactly the attempt that carried it.
-func (c *Client) callOnce(ctx context.Context, proc uint32, opName string, oneway bool, marshal func(*Encoder), ev *TraceEvent, metrics *Metrics, ct *callTrace) (dec *Decoder, err error, sent bool) {
-	if ct == nil {
-		return c.callAttempt(ctx, proc, opName, oneway, marshal, ev, metrics, nil, 0)
+// begin is the transmit half of one attempt: session acquisition
+// (redialing if needed), the ctx check and deadline budget, marshal,
+// register-before-send, and transmit. It opens the attempt span and
+// leaves the attempt's state in the descriptor for await: a registered
+// reply slot for a two-way call, none for a oneway or a stream open.
+// cd.sent reports whether the request may have reached the peer — false
+// only when it provably did not: the attempt failed before the send, or
+// the transport refused the whole message deterministically. It is
+// split from await so the async path can transmit many requests before
+// collecting any reply.
+func (cd *callDesc) begin(marshal func(*Encoder)) error {
+	c, ctx, metrics, ct := cd.c, cd.ctx, cd.metrics, cd.ct
+	cd.xid, cd.sent = 0, false // a re-attempt starts clean; await left no slot behind
+	if ct != nil {
+		cd.attemptID, cd.attemptBegin = ct.tr.nextID(), time.Now()
 	}
-	attemptID := ct.tr.nextID()
-	begin := time.Now()
-	dec, err, sent = c.callAttempt(ctx, proc, opName, oneway, marshal, ev, metrics, ct, attemptID)
-	sp := &Span{
-		Trace: ct.tc.TraceID, ID: attemptID, Parent: ct.tc.SpanID,
-		Kind: SpanAttempt, Op: opName, XID: ct.lastXID, Sess: ct.shard,
-		Start: begin, Dur: time.Since(begin), Sampled: true,
-	}
-	if err != nil {
-		sp.Err = err.Error()
-	}
-	ct.tr.record(sp)
-	return dec, err, sent
-}
-
-// callAttempt is one attempt: session acquisition (redialing if
-// needed), marshal, register-before-send, transmit, and the bounded
-// wait for the matched reply. sent reports whether the request may have
-// reached the peer (false only when it provably did not: registration
-// failed, or the transport refused the whole message
-// deterministically). ev, when non-nil, receives the request byte
-// count, the XID, the post-transmit timestamp, and (behind WantWire)
-// the raw request. metrics, when non-nil, receives the request byte
-// total and the drained encoder/decoder counters. ct, when non-nil,
-// marks the attempt sampled: the request is prefixed with the trace
-// annotation carrying attemptID.
-func (c *Client) callAttempt(ctx context.Context, proc uint32, opName string, oneway bool, marshal func(*Encoder), ev *TraceEvent, metrics *Metrics, ct *callTrace, attemptID uint64) (dec *Decoder, err error, sent bool) {
-	s, ca, xid, err, sent := c.beginAttempt(ctx, proc, opName, oneway, marshal, ev, metrics, ct, attemptID)
-	if err != nil || ca == nil {
-		// Failed before a reply could be owed, or oneway success.
-		return nil, err, sent
-	}
-	dec, err = c.awaitAttempt(ctx, s, ca, xid, metrics)
-	return dec, err, true
-}
-
-// beginAttempt is the transmit half of one attempt: session acquisition
-// (redialing if needed), marshal, register-before-send, and transmit.
-// On success for a two-way call it returns the session and registered
-// call slot for awaitAttempt to claim; for a oneway call it returns a
-// nil slot (nothing is owed). It is split from awaitAttempt so the
-// async path can transmit many requests before collecting any reply —
-// the returned slot is exactly what a Promise holds.
-func (c *Client) beginAttempt(ctx context.Context, proc uint32, opName string, oneway bool, marshal func(*Encoder), ev *TraceEvent, metrics *Metrics, ct *callTrace, attemptID uint64) (s *session, ca *call, xid uint32, err error, sent bool) {
 	if c.closed.Load() {
-		return nil, nil, 0, ErrClosed, false
+		return ErrClosed
 	}
-	var ctxDone <-chan struct{}
+	if ctx != nil && ctx.Err() != nil {
+		// Honor ctx before spending any work on the attempt: a canceled
+		// context does not even redial.
+		return ctx.Err()
+	}
+	s, err := c.session(cd)
+	if err != nil {
+		return err
+	}
 	var budget time.Duration
 	hasBudget := false
 	if ctx != nil {
-		// Honor ctx before spending any work on the attempt: a canceled
-		// or already-expired context provably never reaches the wire.
-		ctxDone = ctx.Done()
-		select {
-		case <-ctxDone:
-			return nil, nil, 0, ctx.Err(), false
-		default:
+		// Checked (again) and budgeted only now: acquiring the session
+		// may have blocked in Redial, and a budget taken before it would
+		// put a request on the wire whose caller has already given up.
+		// From here to the send nothing blocks.
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if dl, ok := ctx.Deadline(); ok {
-			budget = time.Until(dl)
-			hasBudget = true
+			budget, hasBudget = time.Until(dl), true
 			if budget <= 0 {
-				return nil, nil, 0, context.DeadlineExceeded, false
+				return context.DeadlineExceeded
 			}
 		}
 	}
-	s, err = c.session(metrics, ct)
-	if err != nil {
-		return nil, nil, 0, err, false
-	}
-	xid = c.xid.Add(1)
+	xid := c.xid.Add(1)
+	cd.s, cd.xid = s, xid
 	h := ReqHeader{
 		XID:       xid,
 		Prog:      c.Prog,
 		Vers:      c.Vers,
-		Proc:      proc,
-		OpName:    opName,
+		Proc:      cd.proc,
+		OpName:    cd.op,
 		ObjectKey: c.ObjectKey,
-		OneWay:    oneway,
-	}
-	if ct != nil {
-		ct.lastXID = xid
+		OneWay:    cd.oneway,
 	}
 	enc := getEncoder()
 	if metrics != nil {
@@ -736,38 +744,35 @@ func (c *Client) beginAttempt(ctx context.Context, proc uint32, opName string, o
 		// The annotation precedes the protocol header; its 32 bytes are
 		// a multiple of every protocol's MaxAlign, so payload alignment
 		// is unchanged.
-		writeTraceContext(enc, TraceContext{TraceID: ct.tc.TraceID, SpanID: attemptID, Sampled: true})
+		writeTraceContext(enc, TraceContext{TraceID: ct.tc.TraceID, SpanID: cd.attemptID, Sampled: true})
 	}
 	c.proto.WriteRequest(enc, &h)
 	marshal(enc)
-	if ev != nil {
-		ev.XID = xid
-		ev.ReqBytes = enc.Len()
-	}
 	if metrics != nil {
-		metrics.Op(opName).ReqBytes.Add(uint64(enc.Len()))
+		metrics.Op(cd.op).ReqBytes.Add(uint64(enc.Len()))
 		metrics.addEnc(enc.TakeStats())
 	}
 
-	if !oneway {
-		// Register before sending so a reply cannot race past its slot,
-		// then make sure someone is reading replies on this session.
-		ca = getCall()
-		s.mu.Lock()
-		if s.failed != nil {
-			err := s.failed
-			s.mu.Unlock()
-			putCall(ca)
+	if !cd.oneway {
+		// Register before sending so a reply (or a chunk) cannot race
+		// past its slot, then make sure someone is reading replies on
+		// this session.
+		st := cd.stream
+		if st != nil {
+			st.s, st.xid = s, xid
+		} else {
+			cd.ca = getCall()
+		}
+		startReader, err := s.register(xid, cd.ca, st)
+		if err != nil {
+			if cd.ca != nil {
+				putCall(cd.ca)
+				cd.ca = nil
+			}
 			putEncoder(enc)
-			return nil, nil, 0, err, false
+			return err
 		}
-		s.pending[xid] = ca
-		startReader := !s.readerOn
-		if startReader {
-			s.readerOn = true
-		}
-		s.mu.Unlock()
-		if metrics != nil {
+		if cd.ca != nil && metrics != nil {
 			metrics.InFlight.Add(1)
 		}
 		if startReader {
@@ -775,28 +780,22 @@ func (c *Client) beginAttempt(ctx context.Context, proc uint32, opName string, o
 		}
 	}
 
-	if oneway {
+	var ls lazySender
+	if cd.oneway {
+		ls, _ = s.conn.(lazySender)
+	}
+	if ls != nil {
 		// Oneway-aware batching: nothing waits on this message, so a
 		// coalescing conn may hold it for company instead of cutting a
 		// linger short (see BatchConn.SendLazy). Bytes flattens any
 		// alias segments — a lazily held message must not reference
 		// caller memory.
-		if ls, ok := s.conn.(lazySender); ok {
-			err = ls.SendLazy(enc.Bytes())
-		} else {
-			err = sendEncoded(s.conn, enc)
-		}
+		err = ls.SendLazy(enc.Bytes())
 	} else {
 		// Vectored when the stub aliased payload segments and the
 		// transport can scatter/gather; the plain contiguous send
 		// otherwise.
 		err = sendEncoded(s.conn, enc)
-	}
-	if ev != nil {
-		ev.Sent = time.Now()
-		if c.Hooks.WantWire() {
-			ev.ReqWire = append([]byte(nil), enc.Bytes()...)
-		}
 	}
 	putEncoder(enc)
 	if err != nil {
@@ -804,44 +803,75 @@ func (c *Client) beginAttempt(ctx context.Context, proc uint32, opName string, o
 		// transport never took the frame, so even a non-idempotent call
 		// is safe to re-send on a fresh connection. Any other send
 		// error may have left a prefix on the wire.
-		sent = !errors.Is(err, ErrClosed)
-		if !oneway {
-			if !s.forget(xid) {
-				// The reader (or a drain) delivered concurrently:
-				// consume the signal so the pooled call is clean.
-				<-ca.done
-				if ca.dec != nil {
-					putDecoder(ca.dec)
-				}
-			}
-			putCall(ca)
-			if metrics != nil {
-				metrics.InFlight.Add(-1)
-			}
-		}
+		cd.sent = !errors.Is(err, ErrClosed)
+		cd.unregister()
 		if c.closed.Load() {
-			return nil, nil, xid, ErrClosed, sent
+			return ErrClosed
 		}
-		return nil, nil, xid, fmt.Errorf("rt: send: %w", err), sent
+		return fmt.Errorf("rt: send: %w", err)
 	}
-	if oneway {
-		return nil, nil, xid, nil, true
-	}
-	return s, ca, xid, nil, true
+	cd.sent = true
+	return nil
 }
 
-// awaitAttempt is the collect half of one attempt: the bounded wait
-// for the reply the reader delivers into the registered call slot. It
-// must be entered exactly once per successful two-way beginAttempt —
-// it consumes the slot. The wait is bounded by the client Timeout and
-// the ctx deadline, whichever is sooner, and interrupted immediately
-// by ctx cancellation; an abandoned call sends a best-effort cancel
-// frame so the server can release the in-flight work.
-func (c *Client) awaitAttempt(ctx context.Context, s *session, ca *call, xid uint32, metrics *Metrics) (dec *Decoder, err error) {
-	// Wait for the reader to deliver the matched reply (or the drain
-	// error), bounded by the per-call deadline when one is set.
+// unregister withdraws a failed send's registration: the stream from
+// the stream table, or the reply slot from the in-flight table.
+func (cd *callDesc) unregister() {
+	s, ca := cd.s, cd.ca
+	if cd.stream != nil {
+		s.unregisterStream(cd.xid)
+	}
+	if ca == nil {
+		return
+	}
+	if !s.forget(cd.xid) {
+		// The reader (or a drain) delivered concurrently: consume the
+		// signal so the pooled call is clean.
+		<-ca.done
+		if ca.dec != nil {
+			putDecoder(ca.dec)
+		}
+	}
+	putCall(ca)
+	cd.ca = nil
+	if cd.metrics != nil {
+		cd.metrics.InFlight.Add(-1)
+	}
+}
+
+// await is the collect half of one attempt: wait for the reply if begin
+// left one owed, then close the attempt span begin opened. It must be
+// entered exactly once per begin, with begin's error — it consumes the
+// slot.
+func (cd *callDesc) await(err error) (*Decoder, error) {
+	var d *Decoder
+	if err == nil && cd.ca != nil {
+		d, err = cd.wait()
+	}
+	if ct := cd.ct; ct != nil {
+		sp := &Span{
+			Trace: ct.tc.TraceID, ID: cd.attemptID, Parent: ct.tc.SpanID,
+			Kind: SpanAttempt, Op: cd.op, XID: cd.xid, Sess: ct.shard,
+			Start: cd.attemptBegin, Dur: time.Since(cd.attemptBegin), Sampled: true,
+		}
+		if err != nil {
+			sp.Err = err.Error()
+		}
+		ct.tr.record(sp)
+	}
+	return d, err
+}
+
+// wait blocks until the reader delivers the matched reply (or the drain
+// error) into the registered slot. The wait is bounded by the client
+// Timeout and the ctx deadline, whichever is sooner, and interrupted
+// immediately by ctx cancellation; an abandoned call sends a
+// best-effort cancel frame so the server can release the in-flight
+// work.
+func (cd *callDesc) wait() (*Decoder, error) {
+	ctx, s, ca, xid := cd.ctx, cd.s, cd.ca, cd.xid
 	var ctxDone <-chan struct{}
-	timeout := c.Timeout
+	timeout := cd.c.Timeout
 	// abandonErr is what an elapsed timer means: ErrTimeout for the
 	// client's own Timeout, context.DeadlineExceeded when the ctx
 	// deadline is the tighter bound.
@@ -874,7 +904,7 @@ func (c *Client) awaitAttempt(ctx context.Context, s *session, ca *call, xid uin
 				// The reply had not arrived: retire the slot. A late
 				// reply finds the XID in the retired window and is
 				// dropped.
-				return c.abandonAttempt(s, ca, xid, metrics, abandonErr)
+				return nil, cd.abandon(abandonErr)
 			}
 			// Delivery raced the deadline; take the reply.
 			<-ca.done
@@ -883,18 +913,20 @@ func (c *Client) awaitAttempt(ctx context.Context, s *session, ca *call, xid uin
 				timer.Stop()
 			}
 			if s.forget(xid) {
-				return c.abandonAttempt(s, ca, xid, metrics, ctx.Err())
+				return nil, cd.abandon(ctx.Err())
 			}
 			<-ca.done
 		}
 	} else {
 		<-ca.done
 	}
+	metrics := cd.metrics
 	if metrics != nil {
 		metrics.InFlight.Add(-1)
 	}
 	d, derr := ca.dec, ca.err
 	putCall(ca)
+	cd.ca = nil
 	if derr != nil {
 		return nil, derr
 	}
@@ -906,18 +938,19 @@ func (c *Client) awaitAttempt(ctx context.Context, s *session, ca *call, xid uin
 	return d, nil
 }
 
-// abandonAttempt releases a forgotten call slot and tells the server —
+// abandon releases a forgotten call slot and tells the server —
 // best-effort — that nobody is waiting anymore, so it can shed the
 // work if still queued or cancel the handler's context if running. The
 // late reply, if it ever arrives, finds the XID retired and is dropped.
-func (c *Client) abandonAttempt(s *session, ca *call, xid uint32, metrics *Metrics, err error) (*Decoder, error) {
-	putCall(ca)
-	if metrics != nil {
-		metrics.InFlight.Add(-1)
-		metrics.CancelsSent.Add(1)
+func (cd *callDesc) abandon(err error) error {
+	putCall(cd.ca)
+	cd.ca = nil
+	if cd.metrics != nil {
+		cd.metrics.InFlight.Add(-1)
+		cd.metrics.CancelsSent.Add(1)
 	}
-	sendStreamCtl(s.conn, frameCallCancel, xid, 0)
-	return nil, err
+	sendStreamCtl(cd.s.conn, frameCallCancel, cd.xid, 0)
+	return err
 }
 
 // sleepCtx sleeps for d unless ctx is done first, reporting whether the
@@ -952,9 +985,7 @@ func (c *Client) readReplies(s *session) {
 			if c.closed.Load() {
 				s.fail(ErrClosed)
 			} else {
-				ferr := fmt.Errorf("rt: recv: %w", err)
-				s.fail(ferr)
-				c.connTornDown(ferr)
+				c.poison(s, fmt.Errorf("rt: recv: %w", err))
 			}
 			return
 		}
@@ -971,7 +1002,7 @@ func (c *Client) readReplies(s *session) {
 			}
 			// A stream frame (chunk, end, err): structurally tagged, so
 			// it routes around the reply parser entirely (stream.go).
-			c.streamFrame(s, kind, sxid, arg, payload, metrics)
+			c.streamFrame(s, kind, sxid, arg, payload)
 			continue
 		}
 		d := getDecoder()
@@ -992,9 +1023,7 @@ func (c *Client) readReplies(s *session) {
 			// The reply header did not parse: nothing identifies the
 			// caller and the stream position is suspect. Poison.
 			putDecoder(d)
-			ferr := fmt.Errorf("rt: reply header: %w", err)
-			s.fail(ferr)
-			c.connTornDown(ferr)
+			c.poison(s, fmt.Errorf("rt: reply header: %w", err))
 			return
 		}
 
@@ -1066,27 +1095,25 @@ func (c *Client) readReplies(s *session) {
 		if metrics != nil {
 			metrics.BadXIDs.Add(1)
 		}
-		ferr := fmt.Errorf("%w: reply xid %d", ErrBadXID, rh.XID)
-		s.fail(ferr)
-		c.connTornDown(ferr)
+		c.poison(s, fmt.Errorf("%w: reply xid %d", ErrBadXID, rh.XID))
 		return
 	}
 }
 
-// connTornDown reports a connection teardown that poisoned a session —
-// a receive failure, an unparseable reply header, or a desynchronized
-// stream, whether noticed during normal operation, poison-drain, or a
-// pool failover — through the trace hook as a TraceConnError with the
-// pool session index attached. Deliberate Close teardowns are not
-// reported (they carry no diagnostic signal).
-func (c *Client) connTornDown(err error) {
+// poison tears a session down after a connection failure — a receive
+// error, an unparseable reply header, or a desynchronized stream,
+// whether noticed during normal operation, poison-drain, or a pool
+// failover. The teardown is reported first — a ConnErrors count and,
+// with a Tracer attached, an error span carrying the pool session
+// index — so a caller woken by the drain already finds the report.
+// Deliberate Close teardowns do not come through here (they carry no
+// diagnostic signal).
+func (c *Client) poison(s *session, err error) {
 	if metrics := c.Metrics; metrics != nil {
 		metrics.ConnErrors.Add(1)
 	}
-	hooks := c.Hooks
-	if hooks == nil {
-		return
+	if tr := c.Tracer; tr != nil {
+		recordErrorSpan(tr, SpanConn, "conn-error", c.Shard, time.Now(), err)
 	}
-	now := time.Now()
-	hooks.Trace(&TraceEvent{Kind: TraceConnError, Sess: c.Shard, Begin: now, End: now, Err: err})
+	s.fail(err)
 }

@@ -128,14 +128,21 @@ func (cs *connStreams) cancelAll() {
 	cs.mu.Unlock()
 }
 
-// servingConn is the per-connection state Server.Drain coordinates
-// with ServeConn: the transport (for the GOAWAY frame and final
-// close), the stream and call registries (for straggler cancellation),
-// and the in-flight gauge the drain loop watches.
+// servingConn is one served connection's record, shared by ServeConn's
+// decode loop, its workers, and Server.Drain: the transport (replies,
+// the GOAWAY frame, the final close), the stream and call registries
+// (credit, cancellation, straggler teardown), the decoded-request queue
+// feeding the workers, the duplicate window and first-write-failure
+// latch, the server's Metrics as of accept, and the in-flight gauge the
+// drain loop watches.
 type servingConn struct {
-	conn  Conn
-	cs    *connStreams
-	calls *connCalls
+	conn    Conn
+	cs      *connStreams
+	calls   *connCalls
+	jobs    chan srvJob
+	dups    *dupCache // nil without Server.DupWindow
+	fail    connFail
+	metrics *Metrics
 	// inflight counts requests admitted to the worker queue and not
 	// yet finished (dispatch done, reply sent or shed).
 	inflight atomic.Int64

@@ -170,6 +170,19 @@ type OpStats struct {
 	Latency Histogram
 }
 
+// done records one finished unit of work — a client call resolving or a
+// server dispatch completing — that began at begin.
+func (op *OpStats) done(repBytes int, failed bool, begin time.Time) {
+	op.Calls.Add(1)
+	if repBytes > 0 {
+		op.RepBytes.Add(uint64(repBytes))
+	}
+	if failed {
+		op.Errors.Add(1)
+	}
+	op.Latency.Observe(time.Since(begin))
+}
+
 // Metrics is a registry of per-operation and transport-level counters,
 // attachable to a Client or Server. The zero value is ready to use; a
 // nil *Metrics disables collection (the runtime's fast path is a single

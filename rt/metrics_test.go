@@ -492,13 +492,7 @@ func (l *oneShotListener) Addr() string { return "test" }
 func TestServeRoutesConnErrors(t *testing.T) {
 	s := NewServer(ONC{})
 	s.Metrics = NewMetrics()
-	var events []TraceKind
-	var mu sync.Mutex
-	s.Hooks = TraceFunc(func(ev *TraceEvent) {
-		mu.Lock()
-		events = append(events, ev.Kind)
-		mu.Unlock()
-	})
+	s.Tracer = &Tracer{SampleRate: 1, Seed: 3}
 
 	l := newOneShotListener(&failConn{recvErr: errors.New("wire torn")})
 	go func() {
@@ -510,114 +504,68 @@ func TestServeRoutesConnErrors(t *testing.T) {
 	}
 	// Give the per-connection goroutine time to record the failure.
 	deadline := time.Now().Add(time.Second)
-	for s.Metrics.ConnErrors.Load() == 0 && time.Now().Before(deadline) {
+	for (s.Metrics.ConnErrors.Load() == 0 || s.Tracer.Recorded() == 0) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if got := s.Metrics.ConnErrors.Load(); got != 1 {
 		t.Fatalf("conn errors = %d", got)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, k := range events {
-		if k == TraceConnError {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no TraceConnError event (got %v)", events)
+	spans := s.Tracer.Spans()
+	if len(spans) != 1 || spans[0].Op != "conn-error" || !strings.Contains(spans[0].Err, "wire torn") {
+		t.Errorf("connection failure not recorded as one error span: %+v", spans)
 	}
 }
 
-// --- trace hooks ------------------------------------------------------------
+// --- spans on the plain call path --------------------------------------------
 
-func TestClientTraceHook(t *testing.T) {
-	conn, _, _ := startObservedServer(t)
+// TestClientCallSpans is the span-era form of the old per-call trace
+// event: one sampled call yields a call span, one attempt span inside
+// it carrying the wire XID, and the server's dispatch span parented to
+// that attempt; the byte sizes the event carried live in Metrics.
+func TestClientCallSpans(t *testing.T) {
+	tr := &Tracer{SampleRate: 1, Seed: 11}
+	clientEnd, serverEnd := Pipe()
+	s := NewServer(ONC{})
+	s.Tracer = tr
+	s.Register(7, 1, echoDispatch)
+	done := make(chan struct{})
+	go func() { defer close(done); s.ServeConn(serverEnd) }()
+	t.Cleanup(func() { clientEnd.Close(); <-done })
 
-	var mu sync.Mutex
-	var got []*TraceEvent
-	c := NewClient(conn, ONC{})
-	c.Prog, c.Vers = 7, 1
-	c.Hooks = TraceFunc(func(ev *TraceEvent) {
-		mu.Lock()
-		cp := *ev
-		got = append(got, &cp)
-		mu.Unlock()
-	})
-
-	if _, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(5) }); err != nil {
+	c := newEchoClient(clientEnd)
+	c.Metrics = NewMetrics()
+	c.Tracer = tr
+	d, err := c.Call(1, "double", false, func(e *Encoder) { e.PutU32BEC(5) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 {
-		t.Fatalf("events = %d", len(got))
-	}
-	ev := got[0]
-	if ev.Kind != TraceClientCall || ev.Op != "double" || ev.XID == 0 {
-		t.Errorf("event = %+v", ev)
-	}
-	if ev.Begin.IsZero() || ev.Sent.IsZero() || ev.End.IsZero() {
-		t.Errorf("missing phase timestamps: %+v", ev)
-	}
-	if ev.Sent.Before(ev.Begin) || ev.End.Before(ev.Sent) {
-		t.Errorf("timestamps out of order: %+v", ev)
-	}
-	if ev.ReqBytes == 0 || ev.RepBytes == 0 {
-		t.Errorf("byte sizes missing: %+v", ev)
-	}
-	if len(ev.ReqWire) != 0 {
-		t.Errorf("TraceFunc must not capture wire dumps")
-	}
-}
+	d.Release()
 
-func TestLogHookVerbosity(t *testing.T) {
-	var quiet, all, wire bytes.Buffer
-	ok := &TraceEvent{Kind: TraceClientCall, Op: "ping", XID: 1, ReqBytes: 44}
-	bad := &TraceEvent{Kind: TraceClientCall, Op: "ping", XID: 2, Err: errors.New("boom")}
-
-	h0 := &LogHook{W: &quiet, Verbosity: 0}
-	h0.Trace(ok)
-	h0.Trace(bad)
-	if strings.Contains(quiet.String(), "xid=1") {
-		t.Errorf("verbosity 0 logged a success:\n%s", quiet.String())
-	}
-	if !strings.Contains(quiet.String(), `err="boom"`) {
-		t.Errorf("verbosity 0 missed the failure:\n%s", quiet.String())
-	}
-
-	h1 := &LogHook{W: &all, Verbosity: 1}
-	if h1.WantWire() {
-		t.Error("verbosity 1 must not request wire dumps")
-	}
-	h1.Trace(ok)
-	if !strings.Contains(all.String(), "client-call ping xid=1") {
-		t.Errorf("verbosity 1 output:\n%s", all.String())
-	}
-
-	h2 := &LogHook{W: &wire, Verbosity: 2}
-	if !h2.WantWire() {
-		t.Error("verbosity 2 must request wire dumps")
-	}
-	dump := &TraceEvent{Kind: TraceServerDispatch, Op: "d", ReqWire: bytes.Repeat([]byte{0xab}, 300)}
-	h2.Trace(dump)
-	out := wire.String()
-	if !strings.Contains(out, "request wire (300 bytes)") || !strings.Contains(out, "truncated") {
-		t.Errorf("verbosity 2 dump:\n%s", out)
-	}
-}
-
-func TestTraceKindString(t *testing.T) {
-	for k, want := range map[TraceKind]string{
-		TraceClientCall:     "client-call",
-		TraceServerDispatch: "server-dispatch",
-		TraceBadHeader:      "bad-header",
-		TraceConnError:      "conn-error",
-		TraceKind(99):       "TraceKind(99)",
-	} {
-		if got := k.String(); got != want {
-			t.Errorf("%d.String() = %q", int(k), got)
+	byKind := map[SpanKind]*Span{}
+	for _, sp := range tr.Spans() {
+		if byKind[sp.Kind] != nil {
+			t.Fatalf("two %v spans for one call", sp.Kind)
 		}
+		byKind[sp.Kind] = sp
+	}
+	call, attempt, dispatch := byKind[SpanClientCall], byKind[SpanAttempt], byKind[SpanServerDispatch]
+	if call == nil || attempt == nil || dispatch == nil {
+		t.Fatalf("spans = %+v, want call, attempt and dispatch", tr.Spans())
+	}
+	if call.Op != "double" || call.Parent != 0 || call.Err != "" {
+		t.Errorf("call span = %+v", call)
+	}
+	if attempt.Parent != call.ID || attempt.Trace != call.Trace || attempt.XID == 0 {
+		t.Errorf("attempt span = %+v, want a child of %x with the wire XID", attempt, call.ID)
+	}
+	if dispatch.Parent != attempt.ID || dispatch.XID != attempt.XID {
+		t.Errorf("dispatch span = %+v, want a child of attempt %x, xid %d", dispatch, attempt.ID, attempt.XID)
+	}
+	if attempt.Start.Before(call.Start) || attempt.Start.Add(attempt.Dur).After(call.Start.Add(call.Dur)) {
+		t.Errorf("attempt [%v +%v] not inside call [%v +%v]", attempt.Start, attempt.Dur, call.Start, call.Dur)
+	}
+	if op := c.Metrics.Op("double"); op.ReqBytes.Load() == 0 || op.RepBytes.Load() == 0 {
+		t.Errorf("byte sizes missing: req %d rep %d", op.ReqBytes.Load(), op.RepBytes.Load())
 	}
 }
 
@@ -661,7 +609,7 @@ func TestObservePathAllocs(t *testing.T) {
 
 // --- benchmarks -------------------------------------------------------------
 
-func benchClient(b *testing.B, metrics *Metrics, hooks TraceHook) {
+func benchClient(b *testing.B, metrics *Metrics, tracer *Tracer) {
 	clientEnd, serverEnd := Pipe()
 	s := NewServer(ONC{})
 	s.Register(7, 1, echoDispatch)
@@ -671,7 +619,7 @@ func benchClient(b *testing.B, metrics *Metrics, hooks TraceHook) {
 	c := NewClient(clientEnd, ONC{})
 	c.Prog, c.Vers = 7, 1
 	c.Metrics = metrics
-	c.Hooks = hooks
+	c.Tracer = tracer
 	marshal := func(e *Encoder) { e.PutU32BEC(4) }
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -685,7 +633,7 @@ func benchClient(b *testing.B, metrics *Metrics, hooks TraceHook) {
 func BenchmarkClientCall(b *testing.B)        { benchClient(b, nil, nil) }
 func BenchmarkClientCallMetrics(b *testing.B) { benchClient(b, NewMetrics(), nil) }
 func BenchmarkClientCallTraced(b *testing.B) {
-	benchClient(b, NewMetrics(), TraceFunc(func(*TraceEvent) {}))
+	benchClient(b, NewMetrics(), &Tracer{SampleRate: 1})
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {

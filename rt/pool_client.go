@@ -79,9 +79,8 @@ type PoolConfig struct {
 	// the delay derivation and the safety gate.
 	Hedge *HedgePolicy
 
-	// Metrics and Hooks are shared by all sessions.
+	// Metrics is shared by all sessions.
 	Metrics *Metrics
-	Hooks   TraceHook
 
 	// Tracer, when non-nil, is shared by all sessions and by the pool
 	// itself: the pool owns each sampled call's root span (SpanPoolCall)
@@ -149,8 +148,8 @@ func (c *PoolConfig) size() int {
 }
 
 // ClientPool fans calls out over N multiplexed sessions. It exposes
-// the same CallIdem/Call surface as Client, so generated stubs work
-// against either.
+// the same CallIdem/Call surface as Client for hand-written callers;
+// generated client structs hold a *Client.
 type ClientPool struct {
 	sessions []*Client
 	policy   DispatchPolicy
@@ -210,7 +209,6 @@ func NewClientPool(cfg PoolConfig) (*ClientPool, error) {
 		c.Timeout = cfg.Timeout
 		c.Retry = cfg.Retry
 		c.Metrics = cfg.Metrics
-		c.Hooks = cfg.Hooks
 		c.Tracer = cfg.Tracer
 		c.Shard = i
 		if cfg.BreakerThreshold > 0 {
@@ -288,9 +286,7 @@ func failoverSafe(err error) bool {
 // unhealthy sessions (unless every session is unhealthy, in which case
 // the preferred one gets the call anyway — its breaker probe or redial
 // is the recovery path), and fail over to the next session when an
-// attempt fails in a way that is provably safe to re-send. The call
-// surface matches Client.CallIdem, so generated stubs take a
-// *ClientPool wherever they took a *Client.
+// attempt fails in a way that is provably safe to re-send.
 func (p *ClientPool) CallIdem(proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder)) (*Decoder, error) {
 	return p.CallIdemCtx(nil, proc, opName, oneway, idempotent, marshal)
 }
@@ -303,10 +299,12 @@ func (p *ClientPool) CallIdemCtx(ctx context.Context, proc uint32, opName string
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	var ct *callTrace
+	// The pool's descriptor carries the spec and the root span; each
+	// session tried runs its own copy (see dispatchAt).
+	cd := callDesc{ctx: ctx, proc: proc, op: opName, oneway: oneway, idempotent: idempotent}
 	if tracer := p.tracer; tracer != nil {
-		if ct = startCallTrace(tracer, ctx, SpanPoolCall, opName, 0); ct != nil {
-			ctx = ContextWithTrace(ctx, ct.tc)
+		if cd.ct = startCallTrace(tracer, ctx, SpanPoolCall, opName, 0); cd.ct != nil {
+			cd.ctx = ContextWithTrace(ctx, cd.ct.tc)
 		}
 		// Unsampled pool failures are recorded by the session client's
 		// own always-sample-on-error path; recording them here too
@@ -315,11 +313,11 @@ func (p *ClientPool) CallIdemCtx(ctx context.Context, proc uint32, opName string
 	var d *Decoder
 	var err error
 	if p.hedge != nil && idempotent && !oneway && len(p.sessions) > 1 {
-		d, err = p.dispatchHedged(ctx, proc, opName, marshal, ct)
+		d, err = p.dispatchHedged(&cd, marshal)
 	} else {
-		d, err = p.dispatch(ctx, proc, opName, oneway, idempotent, marshal, ct)
+		d, err = p.dispatchAt(&cd, marshal, p.steer(p.pick(opName)), -1)
 	}
-	ct.finish(err)
+	cd.ct.finish(err)
 	return d, err
 }
 
@@ -337,18 +335,14 @@ func (p *ClientPool) steer(start int) int {
 	return start
 }
 
-// dispatch runs the session-selection and failover loop for one call.
-func (p *ClientPool) dispatch(ctx context.Context, proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder), ct *callTrace) (*Decoder, error) {
-	start := p.steer(p.pick(opName))
-	return p.dispatchAt(ctx, start, -1, proc, opName, oneway, idempotent, marshal, ct)
-}
-
 // dispatchAt runs the failover loop from a chosen starting session,
 // optionally excluding one index (a hedged call's other attempt owns
 // it — the whole point of the hedge is hitting a *different* server
 // queue). The first attempt goes to start even if unhealthy; failover
-// candidates must report Healthy.
-func (p *ClientPool) dispatchAt(ctx context.Context, start, skip int, proc uint32, opName string, oneway, idempotent bool, marshal func(*Encoder), ct *callTrace) (*Decoder, error) {
+// candidates must report Healthy. Each session tried drives the whole
+// call pipeline on its own copy of the descriptor; failovers are
+// events on the pool's.
+func (p *ClientPool) dispatchAt(cd *callDesc, marshal func(*Encoder), start, skip int) (*Decoder, error) {
 	n := len(p.sessions)
 	var lastErr error
 	tried := 0
@@ -365,12 +359,13 @@ func (p *ClientPool) dispatchAt(ctx context.Context, start, skip int, proc uint3
 			if p.metrics != nil {
 				p.metrics.SessionFailovers.Add(1)
 			}
-			if ct != nil {
-				ct.event("failover", fmt.Sprintf("to session %d after: %v", c.Shard, lastErr))
+			if cd.ct != nil {
+				cd.ct.event("failover", fmt.Sprintf("to session %d after: %v", c.Shard, lastErr))
 			}
 		}
 		tried++
-		d, err := c.CallIdemCtx(ctx, proc, opName, oneway, idempotent, marshal)
+		at := cd.on(c)
+		d, err := at.resolve(at.issue(marshal), marshal)
 		if err == nil {
 			return d, nil
 		}
@@ -400,9 +395,10 @@ type hedgeResult struct {
 // Only called for idempotent, non-oneway operations on pools with at
 // least two sessions — the gates live in CallIdemCtx and are pinned by
 // test, because a hedged non-idempotent request could execute twice.
-func (p *ClientPool) dispatchHedged(ctx context.Context, proc uint32, opName string, marshal func(*Encoder), ct *callTrace) (*Decoder, error) {
+func (p *ClientPool) dispatchHedged(cd *callDesc, marshal func(*Encoder)) (*Decoder, error) {
 	n := len(p.sessions)
-	start := p.steer(p.pick(opName))
+	ct := cd.ct
+	start := p.steer(p.pick(cd.op))
 	hedgeStart := -1
 	for off := 1; off < n; off++ {
 		if i := (start + off) % n; p.sessions[i].Healthy() {
@@ -412,10 +408,10 @@ func (p *ClientPool) dispatchHedged(ctx context.Context, proc uint32, opName str
 	}
 	if hedgeStart < 0 {
 		// No second healthy session to hedge on: plain dispatch.
-		return p.dispatchAt(ctx, start, -1, proc, opName, false, true, marshal, ct)
+		return p.dispatchAt(cd, marshal, start, -1)
 	}
 
-	parent := ctx
+	parent := cd.ctx
 	if parent == nil {
 		parent = context.Background()
 	}
@@ -424,19 +420,22 @@ func (p *ClientPool) dispatchHedged(ctx context.Context, proc uint32, opName str
 	defer pcancel()
 	defer hcancel()
 
-	// The attempt goroutines get a nil callTrace: callTrace.event is
+	// The attempt goroutines get descriptors of their own, each under
+	// its own cancelable ctx and with no callTrace: callTrace.event is
 	// not concurrency-safe, and the loser can outlive this call. Hedge
 	// lifecycle events are recorded here, by the coordinator.
+	primary, hedge := cd.on(nil), cd.on(nil)
+	primary.ctx, hedge.ctx = pctx, hctx
 	resCh := make(chan hedgeResult, 2)
 	go func() {
 		// Ownership passes through the result channel: the coordinator
 		// hands the winner's decoder to the caller and releases losers.
-		d, err := p.dispatchAt(pctx, start, hedgeStart, proc, opName, false, true, marshal, nil) //lint:allow releasecheck
-		resCh <- hedgeResult{d: d, err: err}                                                     //lint:allow poolescape
+		d, err := p.dispatchAt(&primary, marshal, start, hedgeStart) //lint:allow releasecheck
+		resCh <- hedgeResult{d: d, err: err}                         //lint:allow poolescape
 	}()
 	launched := 1
 
-	delay := p.hedge.delayFor(p.metrics, opName)
+	delay := p.hedge.delayFor(p.metrics, cd.op)
 	timer := time.NewTimer(delay)
 	var first hedgeResult
 	select {
@@ -448,8 +447,8 @@ func (p *ClientPool) dispatchHedged(ctx context.Context, proc uint32, opName str
 		}
 		ct.event("hedge", fmt.Sprintf("launched on session %d after %v", hedgeStart, delay))
 		go func() {
-			d, err := p.dispatchAt(hctx, hedgeStart, start, proc, opName, false, true, marshal, nil) //lint:allow releasecheck
-			resCh <- hedgeResult{d: d, err: err, hedge: true}                                        //lint:allow poolescape
+			d, err := p.dispatchAt(&hedge, marshal, hedgeStart, start) //lint:allow releasecheck
+			resCh <- hedgeResult{d: d, err: err, hedge: true}          //lint:allow poolescape
 		}()
 		launched = 2
 		first = <-resCh
@@ -504,17 +503,9 @@ func (p *ClientPool) dispatchHedged(ctx context.Context, proc uint32, opName str
 // failoverSafe classes (ErrRetryable, ErrOverloaded, ErrBreakerOpen)
 // on the settled error and re-issue.
 func (p *ClientPool) CallAsync(proc uint32, opName string, idempotent bool, marshal func(*Encoder)) *Promise {
-	n := len(p.sessions)
-	start := p.pick(opName)
-	for off := 0; off < n; off++ {
-		if p.sessions[(start+off)%n].Healthy() {
-			start = (start + off) % n
-			break
-		}
-	}
 	// A closed pool's sessions are closed clients: the promise settles
 	// with ErrClosed.
-	return p.sessions[start].CallAsync(proc, opName, idempotent, marshal)
+	return p.sessions[p.steer(p.pick(opName))].CallAsync(proc, opName, idempotent, marshal)
 }
 
 // Call is CallIdem with idempotent=false, matching Client.Call.

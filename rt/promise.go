@@ -3,7 +3,6 @@ package rt
 import (
 	"context"
 	"errors"
-	"time"
 )
 
 // ErrPromiseSettled reports a second Wait on an already-settled
@@ -32,32 +31,15 @@ var ErrPromiseSettled = errors.New("rt: promise already settled")
 // safe to call from a different goroutine than the issuer, but not
 // from several at once.
 type Promise struct {
-	c          *Client
-	ctx        context.Context
-	proc       uint32
-	opName     string
-	idempotent bool
-	marshal    func(*Encoder)
-
-	// Issue-time observability state, finalized at Wait.
-	ct           *callTrace
-	attemptID    uint64
-	attemptBegin time.Time
-	begin        time.Time
-
-	// First-attempt transmit state (the registered reply slot).
-	s    *session
-	ca   *call
-	xid  uint32
-	err  error
-	sent bool
-
-	// preempted marks a promise rejected before any attempt (breaker
-	// open): the error is terminal and bypasses classification, exactly
-	// as the sync path returns ErrBreakerOpen raw.
-	preempted bool
-
-	settled bool
+	// callDesc is the call itself — spec, observers, and the first
+	// attempt's registered reply slot — exactly what a sync call keeps
+	// on its stack between issue and resolve.
+	callDesc
+	// marshal is kept for the re-attempts Wait may make.
+	marshal func(*Encoder)
+	// issueErr is issue's outcome, handed to resolve by Wait.
+	issueErr error
+	settled  bool
 }
 
 // CallAsync begins one asynchronous invocation: the request is
@@ -67,9 +49,7 @@ type Promise struct {
 // poisoned session, send error) settle the promise so Wait reports
 // them with sync-identical classification.
 //
-// Oneway operations have nothing to resolve — use Call. The per-call
-// TraceEvent hook does not fire for async calls; metrics and trace
-// spans cover them.
+// Oneway operations have nothing to resolve — use Call.
 func (c *Client) CallAsync(proc uint32, opName string, idempotent bool, marshal func(*Encoder)) *Promise {
 	return c.CallAsyncCtx(nil, proc, opName, idempotent, marshal)
 }
@@ -80,30 +60,8 @@ func (c *Client) CallAsync(proc uint32, opName string, idempotent bool, marshal 
 // cancel frame that releases the server-side work. A nil ctx is
 // allowed and means "no propagated trace, deadline, or cancellation".
 func (c *Client) CallAsyncCtx(ctx context.Context, proc uint32, opName string, idempotent bool, marshal func(*Encoder)) *Promise {
-	p := &Promise{c: c, ctx: ctx, proc: proc, opName: opName, idempotent: idempotent, marshal: marshal}
-	metrics, tracer := c.Metrics, c.Tracer
-	if metrics != nil || tracer != nil {
-		p.begin = time.Now()
-	}
-	if tracer != nil {
-		p.ct = startCallTrace(tracer, ctx, SpanClientCall, opName, c.Shard)
-	}
-
-	if b := c.Breaker; b != nil && !b.allow() {
-		if metrics != nil {
-			metrics.BreakerRejects.Add(1)
-		}
-		p.ct.event("breaker-reject", "call shed, breaker open")
-		p.err = ErrBreakerOpen
-		p.preempted = true
-		return p
-	}
-
-	if p.ct != nil {
-		p.attemptID = p.ct.tr.nextID()
-		p.attemptBegin = time.Now()
-	}
-	p.s, p.ca, p.xid, p.err, p.sent = c.beginAttempt(ctx, proc, opName, false, marshal, nil, metrics, p.ct, p.attemptID)
+	p := &Promise{callDesc: callDesc{c: c, ctx: ctx, proc: proc, op: opName, idempotent: idempotent}, marshal: marshal}
+	p.issueErr = p.issue(marshal)
 	return p
 }
 
@@ -119,61 +77,5 @@ func (p *Promise) Wait() (*Decoder, error) {
 		return nil, ErrPromiseSettled
 	}
 	p.settled = true
-	c := p.c
-	metrics := c.Metrics
-
-	if p.preempted {
-		p.finish(nil, p.err, metrics)
-		return nil, p.err
-	}
-
-	var d *Decoder
-	err, sent := p.err, p.sent
-	if err == nil {
-		d, err = c.awaitAttempt(p.ctx, p.s, p.ca, p.xid, metrics)
-		sent = true
-	}
-	if p.ct != nil {
-		// The issue-time attempt span, recorded at resolution: its ID is
-		// the one the wire annotation carried, so the server's dispatch
-		// span parents to exactly this attempt.
-		sp := &Span{
-			Trace: p.ct.tc.TraceID, ID: p.attemptID, Parent: p.ct.tc.SpanID,
-			Kind: SpanAttempt, Op: p.opName, XID: p.ct.lastXID, Sess: p.ct.shard,
-			Start: p.attemptBegin, Dur: time.Since(p.attemptBegin), Sampled: true,
-		}
-		if err != nil {
-			sp.Err = err.Error()
-		}
-		p.ct.tr.record(sp)
-	}
-	if c.Retry != nil || c.Redial != nil || c.Breaker != nil {
-		d, err = c.settleAttempts(p.ctx, d, err, sent, p.proc, p.opName, false, p.idempotent, p.marshal, nil, metrics, p.ct)
-	}
-	p.finish(d, err, metrics)
-	return d, err
-}
-
-// finish finalizes the promise's observability: per-op metrics (calls,
-// errors, reply bytes, issue-to-resolve latency) and the client-call
-// span.
-func (p *Promise) finish(d *Decoder, err error, metrics *Metrics) {
-	if metrics != nil {
-		op := metrics.Op(p.opName)
-		op.Calls.Add(1)
-		if d != nil {
-			op.RepBytes.Add(uint64(d.Size()))
-		}
-		if err != nil {
-			op.Errors.Add(1)
-		}
-		op.Latency.Observe(time.Since(p.begin))
-	}
-	if tracer := p.c.Tracer; tracer != nil {
-		if p.ct != nil {
-			p.ct.finish(err)
-		} else if err != nil {
-			recordErrorSpan(tracer, SpanClientCall, p.opName, p.c.Shard, p.begin, err)
-		}
-	}
+	return p.resolve(p.issueErr, p.marshal)
 }

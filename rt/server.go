@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,22 +83,21 @@ type Server struct {
 	// Metrics, when non-nil, collects per-operation dispatch counters,
 	// latency histograms, byte totals, transport-level counters
 	// (connections, dropped malformed headers, connection failures),
-	// and the QueueDepth gauge. Hooks, when non-nil, receives one
-	// TraceEvent per dispatched request, dropped request, and failed
-	// connection. Both must be set before serving and not changed
-	// after; nil (the default) costs one pointer test per request.
+	// and the QueueDepth gauge. It must be set before serving and not
+	// changed after; nil (the default) costs one pointer test per
+	// request.
 	Metrics *Metrics
-	Hooks   TraceHook
 
 	// Tracer, when non-nil, records a SpanServerDispatch span for every
 	// request that arrived carrying a sampled trace annotation, parented
 	// to the client attempt span that sent it (span.go). Requests the
 	// server refuses — admission rejects, duplicate suppressions — are
 	// recorded as zero-work spans with cause-labeled events so the
-	// client-side gap is explainable. Untraced and unsampled requests
-	// cost one pointer test. Share one Tracer between client and server
-	// in-process to land whole call trees in one ring. Set before
-	// serving.
+	// client-side gap is explainable; requests dropped for a malformed
+	// header and connections that die are recorded as error spans.
+	// Untraced and unsampled requests cost one pointer test. Share one
+	// Tracer between client and server in-process to land whole call
+	// trees in one ring. Set before serving.
 	Tracer *Tracer
 
 	mu       sync.RWMutex
@@ -250,7 +250,7 @@ func (f *connFail) get() error {
 // dispatch and send replies (possibly out of order). Remaining queued
 // requests drain before ServeConn returns.
 func (s *Server) ServeConn(conn Conn) error {
-	metrics, hooks := s.Metrics, s.Hooks
+	metrics := s.Metrics
 	if metrics != nil {
 		metrics.Conns.Add(1)
 	}
@@ -274,14 +274,13 @@ func (s *Server) ServeConn(conn Conn) error {
 	if s.IdleTimeout > 0 {
 		idle, _ = conn.(deadlineConn)
 	}
-	var dups *dupCache
-	if s.DupWindow > 0 {
-		dups = newDupCache(s.DupWindow)
+	sc := &servingConn{
+		conn: conn, cs: newConnStreams(conn), calls: newConnCalls(),
+		jobs: make(chan srvJob, qlen), metrics: metrics,
 	}
-	jobs := make(chan srvJob, qlen)
-	fail := &connFail{}
-	cs := newConnStreams(conn)
-	sc := &servingConn{conn: conn, cs: cs, calls: newConnCalls()}
+	if s.DupWindow > 0 {
+		sc.dups = newDupCache(s.DupWindow)
+	}
 	s.connMu.Lock()
 	if s.conns == nil {
 		s.conns = make(map[*servingConn]struct{})
@@ -303,7 +302,7 @@ func (s *Server) ServeConn(conn Conn) error {
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer wg.Done()
-			s.worker(conn, jobs, metrics, hooks, fail, dups, sc)
+			s.worker(sc)
 		}()
 	}
 
@@ -350,7 +349,7 @@ func (s *Server) ServeConn(conn Conn) error {
 				metrics.BatchedCalls.Add(uint64(len(parts)))
 			}
 			for _, part := range parts {
-				s.acceptFrame(conn, part, nil, jobs, metrics, hooks, fail, dups, sc)
+				s.acceptFrame(sc, part, nil)
 			}
 			continue
 		}
@@ -358,18 +357,18 @@ func (s *Server) ServeConn(conn Conn) error {
 		if connArena {
 			arena = msg
 		}
-		s.acceptFrame(conn, msg, arena, jobs, metrics, hooks, fail, dups, sc)
+		s.acceptFrame(sc, msg, arena)
 	}
 
 	// Graceful drain: stop feeding, let the workers finish what is
 	// queued, then surface any reply-write failure. Failing the stream
 	// registry first unblocks any handler waiting on chunk credit —
 	// no more grants are coming — so the drain cannot deadlock.
-	close(jobs)
-	cs.fail(ErrClosed)
+	close(sc.jobs)
+	sc.cs.fail(ErrClosed)
 	wg.Wait()
 	if loopErr == nil {
-		if serr := fail.get(); serr != nil && !errors.Is(serr, io.EOF) && !errors.Is(serr, ErrClosed) {
+		if serr := sc.fail.get(); serr != nil && !errors.Is(serr, io.EOF) && !errors.Is(serr, ErrClosed) {
 			loopErr = serr
 		}
 	}
@@ -382,9 +381,8 @@ func (s *Server) ServeConn(conn Conn) error {
 // hand the request to the worker pool. arena, when non-nil, is the
 // whole receive buffer backing msg, transferred to the request decoder
 // so its release recycles (or pins) the buffer.
-func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
-	metrics *Metrics, hooks TraceHook, fail *connFail, dups *dupCache, sc *servingConn) {
-	cs := sc.cs
+func (s *Server) acceptFrame(sc *servingConn, msg, arena []byte) {
+	metrics := sc.metrics
 	if kind, sxid, arg, _, ok := SplitStream(msg); ok {
 		// Upstream control frames from the client: stream credit and
 		// cancellation applied to the stream ledger, call cancellation
@@ -392,7 +390,7 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 		// arriving here are malformed noise — dropped.
 		switch kind {
 		case streamGrant, streamCancel:
-			cs.control(kind, sxid, arg)
+			sc.cs.control(kind, sxid, arg)
 		case frameCallCancel:
 			// The client stopped waiting on call sxid: cancel its
 			// handler context if it is dispatching (counted here), or
@@ -411,9 +409,11 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 	// spans are recorded only when this server samples.
 	budget, msg, hasDeadline := SplitDeadline(msg)
 	tc, msg, traced := SplitTrace(msg)
-	sampled := s.Tracer != nil && traced && tc.Sampled
 	var begin time.Time
-	if metrics != nil || hooks != nil || sampled {
+	if metrics != nil || hasDeadline || (s.Tracer != nil && traced && tc.Sampled) {
+		// Someone observes the request, or it carries a wire budget —
+		// which is relative: pinning it to this host's clock here
+		// charges the queue wait against it too.
 		begin = time.Now()
 	}
 	d := getDecoder()
@@ -434,78 +434,43 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 			metrics.BadHeaders.Add(1)
 			metrics.addDec(d.TakeStats())
 		}
-		if hooks != nil {
-			hooks.Trace(&TraceEvent{
-				Kind: TraceBadHeader, Begin: begin, End: time.Now(),
-				ReqBytes: reqBytes, Err: err,
-			})
+		if tr := s.Tracer; tr != nil {
+			recordErrorSpan(tr, SpanConn, "bad-header", 0, time.Now(), err)
 		}
 		putDecoder(d)
 		return
 	}
 	h.Trace, h.Traced = tc, traced
-	h.streams = cs
+	h.streams = sc.cs
 	h.calls = sc.calls
 	if hasDeadline {
-		// The wire budget is relative; pin it to this host's clock once,
-		// here, so the queue wait is charged against it too.
-		if begin.IsZero() {
-			begin = time.Now()
-		}
 		h.Deadline, h.HasDeadline = begin.Add(budget), true
 		if budget <= 0 {
 			// Already expired on arrival (writeDeadline clamps negative
-			// budgets to zero): shed as a zero-work refusal, like an
-			// admission reject — but terminally, since the client's
-			// budget cannot revive. The handler never runs.
-			s.shedFrame(conn, &h, d, metrics, fail, ReplyExpired)
-			if metrics != nil {
-				metrics.ExpiredRejects.Add(1)
-			}
-			if sampled {
-				s.recordRefusalSpan(&h, begin, "expired", "expired-reject",
-					"propagated deadline passed before dispatch")
-			}
+			// budgets to zero). The handler never runs.
+			s.refuse(sc, &h, d, begin, &refuseExpired)
 			return
 		}
 	}
 	if s.draining.Load() {
 		// Lameduck: GOAWAY is out (or about to be) and this request
-		// arrived anyway. Shed it as retryable overload — it provably
-		// did not execute, so the client's pool fails it over to a
-		// healthy server and no call is lost to the drain.
-		s.shedFrame(conn, &h, d, metrics, fail, ReplyOverloaded)
-		if metrics != nil {
-			metrics.DrainRejects.Add(1)
-		}
-		if sampled {
-			s.recordRefusalSpan(&h, begin, "overloaded", "drain-reject",
-				"shed during lameduck drain")
-		}
+		// arrived anyway.
+		s.refuse(sc, &h, d, begin, &refuseDraining)
 		return
 	}
-	if dups != nil {
-		if dup, cached := dups.begin(h.XID); dup {
+	if sc.dups != nil {
+		if dup, cached := sc.dups.begin(h.XID); dup {
 			// A retransmitted request: re-send the cached reply if
 			// the original already answered (the client's first
 			// reply may have been lost); drop it if the original is
 			// still in progress or was oneway. Never re-dispatch.
-			if metrics != nil {
-				metrics.DroppedDupes.Add(1)
-				metrics.addDec(d.TakeStats())
+			if cached == nil {
+				s.refuse(sc, &h, d, begin, &refuseDupInFlight)
+				return
 			}
-			putDecoder(d)
-			if cached != nil {
-				if err := conn.Send(cached); err != nil {
-					fail.record(conn, err)
-				}
-				if sampled {
-					s.recordRefusalSpan(&h, begin, "", "dup-cached-resend",
-						"retransmitted request answered from the reply cache")
-				}
-			} else if sampled {
-				s.recordRefusalSpan(&h, begin, "", "dup-inflight-drop",
-					"retransmitted request dropped; original still in progress or oneway")
+			s.refuse(sc, &h, d, begin, &refuseDupAnswered)
+			if err := sc.conn.Send(cached); err != nil {
+				sc.fail.record(sc.conn, err)
 			}
 			return
 		}
@@ -517,16 +482,8 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 			// The fast-reject path: no queue slot, no worker. The
 			// overload reply is tiny and written straight from the
 			// decode loop, so shedding stays cheap precisely when the
-			// server is busiest. Oneway requests are simply dropped
-			// (nothing waits for them).
-			s.shedFrame(conn, &h, d, metrics, fail, ReplyOverloaded)
-			if metrics != nil {
-				metrics.AdmissionRejects.Add(1)
-			}
-			if sampled {
-				s.recordRefusalSpan(&h, begin, "overloaded", "admission-reject",
-					"shed before dispatch by admission control")
-			}
+			// server is busiest.
+			s.refuse(sc, &h, d, begin, &refuseAdmission)
 			return
 		}
 	}
@@ -537,49 +494,77 @@ func (s *Server) acceptFrame(conn Conn, msg, arena []byte, jobs chan<- srvJob,
 	// Ownership handoff, not retention: the acceptor passes the
 	// decoder to exactly one worker, which releases it after
 	// dispatch.
-	jobs <- srvJob{h: h, dec: d, reqBytes: reqBytes, begin: begin, admWeight: admWeight} //lint:allow poolescape
+	sc.jobs <- srvJob{h: h, dec: d, reqBytes: reqBytes, begin: begin, admWeight: admWeight} //lint:allow poolescape
 }
 
-// shedFrame refuses one parsed request without dispatching it: the
-// pooled decoder is released and a header-only status reply is written
-// straight from the decode loop (oneways are dropped — nothing waits
-// for them).
-func (s *Server) shedFrame(conn Conn, h *ReqHeader, d *Decoder, metrics *Metrics, fail *connFail, status uint32) {
-	if metrics != nil {
-		metrics.addDec(d.TakeStats())
+// refusal is one reason the server declines to dispatch a parsed
+// request: what (if anything) it answers, which counter it bumps, and
+// how the zero-work span explains itself.
+type refusal struct {
+	// status is the header-only reply's status; ReplyOK means nobody is
+	// waiting for an answer and none is sent.
+	status uint32
+	count  func(*Metrics) *atomic.Uint64
+	// errStr is the refusal span's Err ("" for duplicate suppression,
+	// which is not a failure); cause and detail label its event.
+	errStr, cause, detail string
+}
+
+// The counters refusals bump, as selectors over a Metrics that may be
+// nil until refuse checks it.
+func expiredRejects(m *Metrics) *atomic.Uint64   { return &m.ExpiredRejects }
+func drainRejects(m *Metrics) *atomic.Uint64     { return &m.DrainRejects }
+func admissionRejects(m *Metrics) *atomic.Uint64 { return &m.AdmissionRejects }
+func canceledCalls(m *Metrics) *atomic.Uint64    { return &m.CanceledCalls }
+func droppedDupes(m *Metrics) *atomic.Uint64     { return &m.DroppedDupes }
+
+var (
+	// Terminal: the client's end-to-end budget cannot revive.
+	refuseExpired       = refusal{ReplyExpired, expiredRejects, "expired", "expired-reject", "propagated deadline passed before dispatch"}
+	refuseExpiredQueued = refusal{ReplyExpired, expiredRejects, "expired", "expired-reject", "propagated deadline passed while queued"}
+	// Retryable overload: the request provably did not execute, so the
+	// client's pool fails it over to a healthy server and no call is
+	// lost to the drain.
+	refuseDraining    = refusal{ReplyOverloaded, drainRejects, "overloaded", "drain-reject", "shed during lameduck drain"}
+	refuseDrainKilled = refusal{ReplyOverloaded, drainRejects, "overloaded", "drain-kill", "shed from the queue at the drain deadline"}
+	refuseAdmission   = refusal{ReplyOverloaded, admissionRejects, "overloaded", "admission-reject", "shed before dispatch by admission control"}
+	// No reply: the client abandoned the call, or the original's reply
+	// answers the duplicate.
+	refuseCanceled    = refusal{ReplyOK, canceledCalls, "canceled", "client-cancel", "shed before dispatch; the client abandoned the call"}
+	refuseDupAnswered = refusal{ReplyOK, droppedDupes, "", "dup-cached-resend", "retransmitted request answered from the reply cache"}
+	refuseDupInFlight = refusal{ReplyOK, droppedDupes, "", "dup-inflight-drop", "retransmitted request dropped; original still in progress or oneway"}
+)
+
+// refuse declines one parsed request without dispatching it: the pooled
+// decoder is released, the refusal is counted, a header-only status
+// reply is written straight from the calling goroutine (oneways get
+// none — nothing waits for them), and a sampled request gets a
+// zero-work SpanServerDispatch whose cause-labeled event explains the
+// client-side gap.
+func (s *Server) refuse(sc *servingConn, h *ReqHeader, d *Decoder, begin time.Time, why *refusal) {
+	if m := sc.metrics; m != nil {
+		why.count(m).Add(1)
+		m.addDec(d.TakeStats())
 	}
 	putDecoder(d)
-	if h.OneWay {
-		return
+	if why.status != ReplyOK && !h.OneWay {
+		enc := getEncoder()
+		s.proto.WriteReply(enc, &RepHeader{XID: h.XID, Status: why.status})
+		if err := sc.conn.Send(enc.Bytes()); err != nil {
+			sc.fail.record(sc.conn, err)
+		}
+		putEncoder(enc)
 	}
-	enc := getEncoder()
-	s.proto.WriteReply(enc, &RepHeader{XID: h.XID, Status: status})
-	if err := conn.Send(enc.Bytes()); err != nil {
-		fail.record(conn, err)
+	if tracer := s.Tracer; tracer != nil && h.Traced && h.Trace.Sampled {
+		tracer.record(&Span{
+			Trace: h.Trace.TraceID, ID: tracer.nextID(), Parent: h.Trace.SpanID,
+			Kind: SpanServerDispatch, Op: opLabel(h), XID: h.XID,
+			Start: begin, Dur: time.Since(begin), Sampled: true, Err: why.errStr,
+			Events: []SpanEvent{{Offset: time.Since(begin), Cause: why.cause, Detail: why.detail}},
+		})
 	}
-	putEncoder(enc)
 }
 
-// recordRefusalSpan records a zero-work SpanServerDispatch for a
-// sampled request the server refused to dispatch (admission reject,
-// duplicate suppression): the span carries no useful duration, but its
-// cause-labeled event explains the client-side gap.
-func (s *Server) recordRefusalSpan(h *ReqHeader, begin time.Time, errStr, cause, detail string) {
-	tracer := s.Tracer
-	sp := &Span{
-		Trace: h.Trace.TraceID, ID: tracer.nextID(), Parent: h.Trace.SpanID,
-		Kind: SpanServerDispatch, Op: opLabel(h), XID: h.XID,
-		Start: begin, Dur: time.Since(begin), Sampled: true, Err: errStr,
-		Events: []SpanEvent{{Offset: time.Since(begin), Cause: cause, Detail: detail}},
-	}
-	tracer.record(sp)
-}
-
-// worker dispatches queued requests until the queue closes. Each worker
-// owns one reply encoder, reused across requests (the §3.1 buffer-reuse
-// optimization, scoped per worker so replies never share a buffer).
-// Reply writes go straight to the connection: Conn.Send is safe for
-// concurrent writers, which serializes whole replies at the transport.
 // safeDispatch invokes a dispatcher with panic recovery: a panicking
 // handler is converted into a dispatch error (and so into an RPC
 // system-error reply for the caller) instead of killing the worker —
@@ -596,18 +581,23 @@ func safeDispatch(dispatch Dispatch, h *ReqHeader, d *Decoder, e *Encoder) (err 
 	return err, false
 }
 
-func (s *Server) worker(conn Conn, jobs <-chan srvJob, metrics *Metrics, hooks TraceHook, fail *connFail, dups *dupCache, sc *servingConn) {
+// worker dispatches queued requests until the queue closes. Each worker
+// owns one reply encoder, reused across requests (the §3.1 buffer-reuse
+// optimization, scoped per worker so replies never share a buffer).
+// Reply writes go straight to the connection: Conn.Send is safe for
+// concurrent writers, which serializes whole replies at the transport.
+func (s *Server) worker(sc *servingConn) {
+	conn, metrics := sc.conn, sc.metrics
 	var enc Encoder
 	if metrics != nil {
 		enc.EnableStats(true)
 	}
-	observed := metrics != nil || hooks != nil
 	// Both headers live outside the loop: their addresses escape into
 	// interface calls (lookup, WriteReply, dispatch), so per-iteration
 	// declarations would cost one heap allocation per request.
 	var h ReqHeader
 	var rh RepHeader
-	for job := range jobs {
+	for job := range sc.jobs {
 		if metrics != nil {
 			metrics.QueueDepth.Add(-1)
 		}
@@ -618,39 +608,16 @@ func (s *Server) worker(conn Conn, jobs <-chan srvJob, metrics *Metrics, hooks T
 		// waiting); a drain-killed one is refused as retryable
 		// overload; an expired one as a terminal zero-work refusal.
 		// The handler never runs in any of these.
-		canceled, killed := sc.calls.state(h.XID)
-		sampled := s.Tracer != nil && h.Traced && h.Trace.Sampled
-		if canceled || killed || (h.HasDeadline && !time.Now().Before(h.Deadline)) {
-			switch {
-			case canceled:
-				if metrics != nil {
-					metrics.CanceledCalls.Add(1)
-					metrics.addDec(dec.TakeStats())
-				}
-				putDecoder(dec)
-				if sampled {
-					s.recordRefusalSpan(&h, job.begin, "canceled", "client-cancel",
-						"shed before dispatch; the client abandoned the call")
-				}
-			case killed:
-				s.shedFrame(conn, &h, dec, metrics, fail, ReplyOverloaded)
-				if metrics != nil {
-					metrics.DrainRejects.Add(1)
-				}
-				if sampled {
-					s.recordRefusalSpan(&h, job.begin, "overloaded", "drain-kill",
-						"shed from the queue at the drain deadline")
-				}
-			default:
-				s.shedFrame(conn, &h, dec, metrics, fail, ReplyExpired)
-				if metrics != nil {
-					metrics.ExpiredRejects.Add(1)
-				}
-				if sampled {
-					s.recordRefusalSpan(&h, job.begin, "expired", "expired-reject",
-						"propagated deadline passed while queued")
-				}
-			}
+		var why *refusal
+		if canceled, killed := sc.calls.state(h.XID); canceled {
+			why = &refuseCanceled
+		} else if killed {
+			why = &refuseDrainKilled
+		} else if h.HasDeadline && !time.Now().Before(h.Deadline) {
+			why = &refuseExpiredQueued
+		}
+		if why != nil {
+			s.refuse(sc, &h, dec, job.begin, why)
 			s.releaseJob(&job, sc)
 			continue
 		}
@@ -658,7 +625,7 @@ func (s *Server) worker(conn Conn, jobs <-chan srvJob, metrics *Metrics, hooks T
 		enc.Reset()
 		rh = RepHeader{XID: h.XID}
 		var workErr error
-		replied := false
+		repBytes := 0
 		if dispatch == nil {
 			workErr = ErrNoSuchOp
 			rh.Status = ReplySystemError
@@ -683,14 +650,14 @@ func (s *Server) worker(conn Conn, jobs <-chan srvJob, metrics *Metrics, hooks T
 			// Vectored when the skeleton aliased reply payload segments
 			// and the transport can scatter/gather.
 			if err := sendEncoded(conn, &enc); err != nil {
-				fail.record(conn, err)
+				sc.fail.record(conn, err)
 			} else {
-				replied = true
-				if dups != nil {
+				repBytes = enc.Len()
+				if sc.dups != nil {
 					// Cache a private copy of the reply so a
 					// retransmitted request re-sends it instead of
 					// re-executing the operation.
-					dups.finish(h.XID, append([]byte(nil), enc.Bytes()...))
+					sc.dups.finish(h.XID, append([]byte(nil), enc.Bytes()...))
 				}
 			}
 		}
@@ -698,8 +665,18 @@ func (s *Server) worker(conn Conn, jobs <-chan srvJob, metrics *Metrics, hooks T
 		// via (*ReqHeader).Context (frees its deadline timer and
 		// detaches it from the cancel registry).
 		sc.calls.finish(h.XID)
-		if observed {
-			s.finishRequest(metrics, hooks, &h, job.begin, job.reqBytes, &enc, dec, workErr, replied)
+		if metrics != nil {
+			op := metrics.Op(opLabel(&h))
+			op.ReqBytes.Add(uint64(job.reqBytes))
+			op.done(repBytes, workErr != nil, job.begin)
+			if workErr != nil {
+				metrics.DispatchErrors.Add(1)
+			}
+			if h.OneWay {
+				metrics.Oneways.Add(1)
+			}
+			metrics.addEnc(enc.TakeStats())
+			metrics.addDec(dec.TakeStats())
 		}
 		if tracer := s.Tracer; tracer != nil && h.Traced && h.Trace.Sampled {
 			// The dispatch span: parented to the client attempt span
@@ -731,46 +708,6 @@ func (s *Server) releaseJob(job *srvJob, sc *servingConn) {
 	sc.inflight.Add(-1)
 }
 
-// finishRequest records one dispatched request into the attached
-// metrics and trace hook. It runs only when observability is enabled.
-func (s *Server) finishRequest(metrics *Metrics, hooks TraceHook, h *ReqHeader,
-	begin time.Time, reqBytes int, enc *Encoder, dec *Decoder, workErr error, replied bool) {
-	repBytes := 0
-	if replied {
-		repBytes = enc.Len()
-	}
-	if metrics != nil {
-		op := metrics.Op(opLabel(h))
-		op.Calls.Add(1)
-		op.ReqBytes.Add(uint64(reqBytes))
-		op.RepBytes.Add(uint64(repBytes))
-		if workErr != nil {
-			op.Errors.Add(1)
-			metrics.DispatchErrors.Add(1)
-		}
-		if h.OneWay {
-			metrics.Oneways.Add(1)
-		}
-		op.Latency.Observe(time.Since(begin))
-		metrics.addEnc(enc.TakeStats())
-		metrics.addDec(dec.TakeStats())
-	}
-	if hooks != nil {
-		ev := &TraceEvent{
-			Kind: TraceServerDispatch, Op: h.OpName, Proc: h.Proc, XID: h.XID,
-			OneWay: h.OneWay, Begin: begin, End: time.Now(),
-			ReqBytes: reqBytes, RepBytes: repBytes, Err: workErr,
-		}
-		if replied {
-			ev.Sent = ev.End
-		}
-		if hooks.WantWire() && replied {
-			ev.RepWire = append([]byte(nil), enc.Bytes()...)
-		}
-		hooks.Trace(ev)
-	}
-}
-
 // opLabel names an operation for the metrics registry: the wire or
 // stub-provided operation name when known (generated dispatchers label
 // h.OpName as they demultiplex), the numeric procedure otherwise.
@@ -778,29 +715,13 @@ func opLabel(h *ReqHeader) string {
 	if h.OpName != "" {
 		return h.OpName
 	}
-	return "proc-" + utoa(h.Proc)
-}
-
-// utoa is strconv.FormatUint for small positive numbers without the
-// import weight; operation codes are tiny.
-func utoa(v uint32) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [10]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return "proc-" + strconv.FormatUint(uint64(h.Proc), 10)
 }
 
 // Serve accepts connections until the listener closes, answering each on
 // its own goroutine. Per-connection failures end only that connection;
-// they are routed to the server's Metrics (ConnErrors) and trace hook
-// rather than being silently discarded.
+// they are routed to the server's Metrics (ConnErrors) and Tracer (an
+// error span) rather than being silently discarded.
 func (s *Server) Serve(l Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -822,8 +743,7 @@ func (s *Server) connError(err error) {
 	if s.Metrics != nil {
 		s.Metrics.ConnErrors.Add(1)
 	}
-	if s.Hooks != nil {
-		now := time.Now()
-		s.Hooks.Trace(&TraceEvent{Kind: TraceConnError, Begin: now, End: now, Err: err})
+	if tr := s.Tracer; tr != nil {
+		recordErrorSpan(tr, SpanConn, "conn-error", 0, time.Now(), err)
 	}
 }

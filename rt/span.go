@@ -1,11 +1,10 @@
 // Distributed tracing: wire-propagated trace context and the span
 // recorder.
 //
-// PR 1's trace hooks see one process at a time; after the scale-out
+// Per-process counters see one process at a time; after the scale-out
 // fabric a single logical call crosses a pool shard, a batch frame,
 // admission control, retries, and failover, and no single-process view
-// can say where the time went. This file adds the missing causal
-// substrate: a 128-bit trace ID plus span ID carried on the wire (see
+// can say where the time went. This file is the causal substrate: a 128-bit trace ID plus span ID carried on the wire (see
 // the trace annotation in proto.go), a Tracer that records completed
 // spans into a fixed-size lock-free ring with head-based probabilistic
 // sampling (errors are always recorded), and a Chrome trace_event JSON
@@ -18,7 +17,7 @@
 //	└ call   one Client.Call invocation: the retry loop. Retries,
 //	         redials, breaker trips, and admission rejects are
 //	         cause-labeled events on this span.
-//	  └ attempt   one callOnce: a fresh XID on one session. The span
+//	  └ attempt   one begin+await: a fresh XID on one session. The span
 //	              ID of the attempt is what travels in the wire
 //	              annotation, so the server's span parents correctly.
 //	    └ dispatch   the server-side decode+dispatch+reply span,
@@ -133,6 +132,11 @@ const (
 	// SpanBatchFlush is one multi-message batch frame cut by the
 	// coalescing writer, with its flush reason as an event.
 	SpanBatchFlush
+	// SpanConn is a connection-level failure no call can own, recorded
+	// as a lone error span: a client session torn down under its calls
+	// or a served connection that died (Op "conn-error"), or a request
+	// dropped because its header did not parse (Op "bad-header").
+	SpanConn
 )
 
 func (k SpanKind) String() string {
@@ -147,6 +151,8 @@ func (k SpanKind) String() string {
 		return "dispatch"
 	case SpanBatchFlush:
 		return "batch-flush"
+	case SpanConn:
+		return "conn"
 	}
 	return fmt.Sprintf("SpanKind(%d)", uint8(k))
 }
@@ -363,12 +369,13 @@ type chromeEvent struct {
 }
 
 // chromePid maps span kinds onto process lanes: client-side spans on
-// pid 1, server-side on pid 2, transport-level (batch) on pid 3.
+// pid 1, server-side on pid 2, transport-level (batch, connection) on
+// pid 3.
 func chromePid(k SpanKind) int {
 	switch k {
 	case SpanServerDispatch:
 		return 2
-	case SpanBatchFlush:
+	case SpanBatchFlush, SpanConn:
 		return 3
 	}
 	return 1
@@ -425,7 +432,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	doc := struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
+		Events []chromeEvent `json:"traceEvents"`
 	}{events}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
@@ -433,9 +440,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 
 // --- the client-side span builder -------------------------------------------
 
-// callTrace carries one sampled call's tracing state through the
-// invoke/callOnce machinery. It lives on the calling goroutine only
-// (no locking); a nil *callTrace means the call is unsampled and every
+// callTrace is one sampled call's tracing state, hung off its call
+// descriptor (callDesc.ct). It lives on the calling goroutine only (no
+// locking); a nil *callTrace means the call is unsampled and every
 // method is a no-op, keeping the fast path branch-only.
 type callTrace struct {
 	tr     *Tracer
@@ -446,9 +453,6 @@ type callTrace struct {
 	shard  int
 	begin  time.Time
 	events []SpanEvent
-	// lastXID is a backchannel from callAttempt to the attempt-span
-	// recorder: the XID the attempt actually used.
-	lastXID uint32
 }
 
 // event appends a cause-labeled event. Safe on a nil receiver.

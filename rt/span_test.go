@@ -166,7 +166,7 @@ func TestTracerIDsNonzeroAndDistinct(t *testing.T) {
 
 // chromeDoc mirrors the trace_event JSON object format for validation.
 type chromeDoc struct {
-	TraceEvents []struct {
+	Events []struct {
 		Name string         `json:"name"`
 		Cat  string         `json:"cat"`
 		Ph   string         `json:"ph"`
@@ -201,7 +201,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	var iEvents int
 	pidByCat := make(map[string]int)
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc.Events {
 		switch ev.Ph {
 		case "X":
 			pidByCat[ev.Cat] = ev.Pid

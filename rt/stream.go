@@ -137,7 +137,10 @@ type streamMsg struct {
 // stream down early. Recv is single-consumer; Grant and Cancel may be
 // called from other goroutines.
 type ClientStream struct {
-	c   *Client
+	c *Client
+	// s and xid are the session and request XID the open registered the
+	// stream under (written by the call pipeline's begin, before the
+	// session reader can see the stream).
 	s   *session
 	xid uint32
 	// window is the construction-time credit level the consumer side
@@ -184,57 +187,6 @@ func (c *Client) CallStreamCtx(ctx context.Context, proc uint32, opName string, 
 	if window < 0 {
 		window = 0
 	}
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	var budget time.Duration
-	hasBudget := false
-	if ctx != nil {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		default:
-		}
-		if dl, ok := ctx.Deadline(); ok {
-			budget = time.Until(dl)
-			hasBudget = true
-			if budget <= 0 {
-				return nil, context.DeadlineExceeded
-			}
-		}
-	}
-	metrics := c.Metrics
-	s, err := c.session(metrics, nil)
-	if err != nil {
-		return nil, err
-	}
-	xid := c.xid.Add(1)
-	h := ReqHeader{
-		XID:       xid,
-		Prog:      c.Prog,
-		Vers:      c.Vers,
-		Proc:      proc,
-		OpName:    opName,
-		ObjectKey: c.ObjectKey,
-	}
-	enc := getEncoder()
-	if metrics != nil {
-		enc.EnableStats(true)
-	}
-	if hasBudget {
-		// Outermost annotation, exactly as on the call path: see
-		// beginAttempt. Deadline-less streams write nothing.
-		writeDeadline(enc, budget)
-	}
-	c.proto.WriteRequest(enc, &h)
-	marshal(enc)
-	if metrics != nil {
-		op := metrics.Op(opName)
-		op.Calls.Add(1)
-		op.ReqBytes.Add(uint64(enc.Len()))
-		metrics.addEnc(enc.TakeStats())
-	}
-
 	// The channel must hold every chunk the server is entitled to send
 	// plus the terminal marker; the slack beyond the window is what
 	// explicit Grant can draw on (see Grant).
@@ -242,45 +194,30 @@ func (c *Client) CallStreamCtx(ctx context.Context, proc uint32, opName string, 
 	if window == 0 {
 		slack = 16
 	}
-	st := &ClientStream{c: c, s: s, xid: xid, window: window, ctx: ctx, ch: make(chan streamMsg, window+slack)}
+	st := &ClientStream{c: c, window: window, ctx: ctx, ch: make(chan streamMsg, window+slack)}
 
-	// Register before sending so a chunk cannot race past its stream,
-	// exactly like the call table's register-before-send.
-	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
-		putEncoder(enc)
-		return nil, err
-	}
-	s.streams[xid] = st
-	startReader := !s.readerOn
-	if startReader {
-		s.readerOn = true
-	}
-	s.mu.Unlock()
-	if startReader {
-		go c.readReplies(s)
-	}
-
-	err = s.conn.Send(enc.Bytes())
-	putEncoder(enc)
-	if err != nil {
-		s.unregisterStream(xid)
-		if c.closed.Load() || errors.Is(err, ErrClosed) {
-			return nil, ErrClosed
-		}
-		return nil, fmt.Errorf("rt: send: %w", err)
-	}
-	if window > 0 {
+	// The open is one attempt of the ordinary call pipeline whose begin
+	// registers the stream instead of a reply slot (so await has nothing
+	// to collect and only closes the attempt span): it shares the call
+	// path's ctx and deadline handling, trace annotation, send-error
+	// classification and failure accounting. There is no settle stage —
+	// streams do not retry and do not post to the breaker.
+	cd := callDesc{c: c, ctx: ctx, proc: proc, op: opName, stream: st}
+	cd.watch()
+	_, err := cd.await(cd.begin(marshal))
+	if err == nil && window > 0 {
 		st.mu.Lock()
 		st.live = window
 		st.mu.Unlock()
-		if err := sendStreamCtl(s.conn, streamGrant, xid, uint32(window)); err != nil {
-			s.unregisterStream(xid)
+		if err = sendStreamCtl(st.s.conn, streamGrant, st.xid, uint32(window)); err != nil {
+			st.s.unregisterStream(st.xid)
 			st.drain()
-			return nil, fmt.Errorf("rt: send: %w", err)
+			err = fmt.Errorf("rt: send: %w", err)
 		}
+	}
+	cd.observe(nil, err)
+	if err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -513,7 +450,8 @@ func (st *ClientStream) deliverChunk(d *Decoder) {
 // client session. Unknown or retired XIDs are dropped (a cancelled
 // stream keeps receiving in-flight chunks for a while; that is benign,
 // not desynchronization).
-func (c *Client) streamFrame(s *session, kind, xid, arg uint32, payload []byte, metrics *Metrics) {
+func (c *Client) streamFrame(s *session, kind, xid, arg uint32, payload []byte) {
+	metrics := c.Metrics
 	s.mu.Lock()
 	st, ok := s.streams[xid]
 	if !ok {

@@ -250,32 +250,17 @@ func TestPoolFailoverKeepsTrace(t *testing.T) {
 	}
 }
 
-// connErrHook records TraceConnError events.
-type connErrHook struct {
-	mu     sync.Mutex
-	events []*TraceEvent
-}
-
-func (h *connErrHook) Trace(ev *TraceEvent) {
-	if ev.Kind == TraceConnError {
-		h.mu.Lock()
-		h.events = append(h.events, ev)
-		h.mu.Unlock()
-	}
-}
-func (h *connErrHook) WantWire() bool { return false }
-
 // TestClientPoisonReportsConnError pins the teardown-reporting fix: a
 // connection poisoned under the client (peer gone mid-call) must count
-// in Metrics.ConnErrors AND surface through the trace hook as a
-// TraceConnError carrying the pool session index — previously these
-// teardowns were only visible as the individual calls' failures.
+// in Metrics.ConnErrors AND be recorded as an error span carrying the
+// pool session index — previously these teardowns were only visible as
+// the individual calls' failures. The report precedes the drain, so the
+// failed call's caller already finds it.
 func TestClientPoisonReportsConnError(t *testing.T) {
 	clientEnd, serverEnd := Pipe()
 	c := newEchoClient(clientEnd)
 	c.Metrics = NewMetrics()
-	hook := &connErrHook{}
-	c.Hooks = hook
+	c.Tracer = &Tracer{SampleRate: 1, Seed: 5}
 	c.Shard = 3
 	defer clientEnd.Close()
 
@@ -296,13 +281,17 @@ func TestClientPoisonReportsConnError(t *testing.T) {
 	if got := c.Metrics.ConnErrors.Load(); got == 0 {
 		t.Error("poisoned connection not counted in ConnErrors")
 	}
-	hook.mu.Lock()
-	defer hook.mu.Unlock()
-	if len(hook.events) == 0 {
-		t.Fatal("no TraceConnError event reached the hook")
+	var torn *Span
+	for _, sp := range c.Tracer.Spans() {
+		if sp.Op == "conn-error" {
+			torn = sp
+		}
 	}
-	if ev := hook.events[0]; ev.Sess != 3 || ev.Err == nil {
-		t.Errorf("TraceConnError = sess %d err %v, want sess 3 with the teardown error", ev.Sess, ev.Err)
+	if torn == nil {
+		t.Fatal("no conn-error span recorded")
+	}
+	if torn.Sess != 3 || torn.Err == "" {
+		t.Errorf("conn-error span = sess %d err %q, want sess 3 with the teardown error", torn.Sess, torn.Err)
 	}
 }
 
