@@ -1,11 +1,12 @@
 # Flick-Go build targets. `make ci` is the full gate: vet, build, the
 # flick-lint ownership analyzers, race-enabled tests (which include the
-# rt allocation guard), the benchmark module's own vet and self-tests,
-# and the generated-stub drift check.
+# rt allocation guard), rt once more under the portable bulk kernels,
+# the benchmark module's own vet and self-tests, and the generated-stub
+# and golden drift check.
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race test-bench bench bench-rt bench-json generate generate-check stats ci
+.PHONY: all build vet lint test test-race test-portable test-bench bench bench-rt bench-json generate generate-check stats ci
 
 all: build
 
@@ -26,6 +27,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# rt's bulk transfers have two builds (rt/bulk_fast.go, rt/bulk_portable.go);
+# only the first is what a little-endian host compiles by default, so the
+# per-element fallback is vetted and tested explicitly.
+test-portable:
+	$(GO) vet -tags flick_portable ./rt/
+	$(GO) test -tags flick_portable ./rt/
 
 # bench/ is a module of its own, outside ./... : vet it and run its
 # self-tests (BENCHMARK.json matches the harness; a short run of all six
@@ -117,8 +125,11 @@ bench-json:
 	$(GO) run ./cmd/flick-bench -exp zerocopy -json > BENCH_zerocopy.json
 	$(GO) run ./cmd/flick-bench -exp hedge -json > BENCH_hedge.json
 
+# Every committed stub package (its gen.go lines) and both back ends'
+# golden files.
 generate:
 	$(GO) generate ./...
+	$(GO) test ./internal/backend/gostub ./internal/backend/cstub -run Golden -update
 
 # Fail if regenerating the checked-in stubs or goldens changes anything:
 # stale generated code must not land.
@@ -132,4 +143,4 @@ stats:
 	$(GO) run ./cmd/flick-bench -exp pipeline
 	$(GO) run ./cmd/flick-stats -rounds 50
 
-ci: vet build lint test-race test-bench generate-check
+ci: vet build lint test-race test-portable test-bench generate-check

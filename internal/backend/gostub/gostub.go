@@ -112,16 +112,18 @@ type StubStats struct {
 	S    mir.Stats
 }
 
-// Report renders an aligned per-stub table with a total row.
+// Report renders an aligned per-stub table with a total row, then why
+// the slab_fallback sites of the run kept their per-datum allocation.
 func (s *Stats) Report() string {
 	var b strings.Builder
 	rows := make([][2]string, 0, len(s.Stubs)+1)
 	line := func(name string, st mir.Stats) {
 		rows = append(rows, [2]string{name, fmt.Sprintf(
-			"%5d  %6d → %-5d %9d  %6d %6d %5d %5d  %4d",
+			"%5d  %6d → %-5d %9d  %6d %6d %5d %5d  %4d  %10d %19d",
 			st.Programs, st.SpaceChecksBefore, st.SpaceChecksAfter,
 			st.SpaceChecksEliminated(), st.Chunks, st.ChunkItems,
-			st.BulkArrays, st.InlinedAggregates, st.OutOfLineSubs)})
+			st.BulkArrays, st.InlinedAggregates, st.OutOfLineSubs,
+			st.SlabSites, st.SlabFallbackSites())})
 	}
 	for _, st := range s.Stubs {
 		line(st.Stub, st.S)
@@ -133,11 +135,14 @@ func (s *Stats) Report() string {
 			width = len(r[0])
 		}
 	}
-	fmt.Fprintf(&b, "%-*s  %5s  %14s %9s  %6s %6s %5s %5s  %4s\n",
-		width, "stub", "progs", "checks in→out", "hoisted", "chunks", "items", "bulk", "inl", "subs")
+	fmt.Fprintf(&b, "%-*s  %5s  %14s %9s  %6s %6s %5s %5s  %4s  %10s %19s\n",
+		width, "stub", "progs", "checks in→out", "hoisted", "chunks", "items", "bulk", "inl", "subs",
+		"slab_sites", "slab_fallback_sites")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-*s  %s\n", width, r[0], r[1])
 	}
+	fmt.Fprintf(&b, "slab_fallback_sites by reason: %d lone value, %d variable non-byte data in the region, %d recursive sub\n",
+		s.Total.SlabFallbackLone, s.Total.SlabFallbackVariable, s.Total.SlabFallbackRecursive)
 	return b.String()
 }
 
@@ -442,6 +447,12 @@ func (e *emitter) lowerRoots(name string, dir mir.Dir, roots []root) (*mir.Progr
 	prog, err := mir.Lower(dir, mroots, e.cfg.Format, e.opts)
 	if err != nil {
 		return nil, err
+	}
+	// Parameter management is a Go-stub concern (C unmarshals in place),
+	// and the baselines model compilers that allocate per datum. Arena
+	// views under -zerocopy already have their storage.
+	if !e.checked {
+		mir.PlanStorage(prog, e.zcAliasDecode, e.opts.Stats)
 	}
 	// Stage boundary: the optimized program must satisfy the emitter's
 	// invariants (space-check dominance, chunk layout, bulk identity)

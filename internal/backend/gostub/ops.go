@@ -160,11 +160,28 @@ func (e *emitter) ops(ops []mir.Op, dir mir.Dir) error {
 		}
 	}
 	for _, op := range ops {
+		if plan := e.curProg.Slab; plan != nil && op == plan.At {
+			e.provisionSlab(plan)
+		}
 		if err := e.op(op, dir); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// provisionSlab emits the message's one storage allocation (see
+// mir.PlanStorage): everything unread except the static minimum of what
+// is not string or byte-sequence payload.
+func (e *emitter) provisionSlab(plan *mir.SlabPlan) {
+	fixed := fmt.Sprintf("%d", plan.Tail)
+	if plan.Count != nil && plan.PerElem > 0 {
+		fixed = fmt.Sprintf("%d*%s", plan.PerElem, e.countExpr(plan.Count, mir.Unmarshal))
+		if plan.Tail > 0 {
+			fixed += fmt.Sprintf(" + %d", plan.Tail)
+		}
+	}
+	e.pf("d.Slab(%s)", fixed)
 }
 
 // zcBulk reports whether op's region takes the zero-copy path: the
@@ -324,19 +341,33 @@ func (e *emitter) lenItem(op *mir.LenItem, dir mir.Dir) error {
 		e.emitRetErr()
 		e.pf("}")
 	}
-	e.pf("%s, %s := d.Len(rt.%s, %d, %v)", n, ok, e.ord(), bound, op.Nul)
+	e.pf("%s, %s := d.Len(rt.%s, %d, %v, %d)", n, ok, e.ord(), bound, op.Nul, op.ElemMin)
 	e.pf("if !%s {", ok)
 	e.emitRetErr()
 	e.pf("}")
 	e.lenVars[op.Val.String()] = n
-	if strings.HasPrefix(ct, "[]") || ct == "ObjectKey" {
-		// Skip the allocation when the bulk that follows aliases the
-		// receive arena: AliasNext supplies the storage.
-		if !(e.zc && e.zcVals[op.Val.String()]) {
-			e.pf("%s = make(%s, %s)", x, ct, n)
-		}
-	}
+	e.allocCounted(op.Val, ct, n, op.Slab)
 	return nil
+}
+
+// allocCounted emits the storage for a just-counted slice value x of
+// type ct: nothing when the bulk that follows aliases the receive arena
+// (AliasNext supplies the storage), a slab window for a planned byte
+// sequence, a make otherwise. Strings get theirs at the payload op.
+func (e *emitter) allocCounted(val mir.Ref, ct, n string, slab bool) {
+	if !strings.HasPrefix(ct, "[]") && ct != "ObjectKey" {
+		return
+	}
+	x := e.refExpr(val)
+	switch {
+	case e.zc && e.zcVals[val.String()]:
+	case slab && ct == "[]byte":
+		e.pf("%s = d.SlabBytes(%s)", x, n)
+	case slab:
+		e.pf("%s = %s(d.SlabBytes(%s))", x, ct, n)
+	default:
+		e.pf("%s = make(%s, %s)", x, ct, n)
+	}
 }
 
 func (e *emitter) bulk(op *mir.Bulk, dir mir.Dir) error {
@@ -377,7 +408,11 @@ func (e *emitter) bulk(op *mir.Bulk, dir mir.Dir) error {
 		if !okLen {
 			return fmt.Errorf("gostub: bulk string read without preceding length for %s", x)
 		}
-		e.pf("%s = string(d.Next(%s))", x, n)
+		if op.Slab {
+			e.pf("%s = d.NextString(%s)", x, n)
+		} else {
+			e.pf("%s = string(d.Next(%s))", x, n)
+		}
 	case byteWide && e.zcAliasDecode(op):
 		// Prover-signed alias-safe region: borrow a view of the receive
 		// arena instead of allocating and copying. The preceding length
@@ -448,8 +483,14 @@ func (e *emitter) loop(op *mir.Loop, dir mir.Dir) error {
 		if !okLen {
 			return fmt.Errorf("gostub: string loop read without preceding length for %s", over)
 		}
+		// A planned string decodes straight into its slab window and
+		// becomes a string in place; otherwise through a scratch copy.
 		scratch := e.newTmp("b")
-		e.pf("%s := make([]byte, %s)", scratch, n)
+		alloc, conv := "make([]byte, %s)", "string(%s)"
+		if op.Slab {
+			alloc, conv = "d.SlabBytes(%s)", "d.SlabString(%s)"
+		}
+		e.pf("%s := "+alloc, scratch, n)
 		e.pf("for %s := range %s {", iv, scratch)
 		e.indent++
 		saved := e.bindElem(op.Var, scratch+"["+iv+"]")
@@ -459,7 +500,7 @@ func (e *emitter) loop(op *mir.Loop, dir mir.Dir) error {
 		e.restoreElem(op.Var, saved)
 		e.indent--
 		e.pf("}")
-		e.pf("%s = string(%s)", over, scratch)
+		e.pf("%s = "+conv, over, scratch)
 		return nil
 	}
 
@@ -661,7 +702,6 @@ func (e *emitter) chunkGet(b string, it mir.ChunkItem) error {
 		e.emitRetErr()
 		e.pf("}")
 	case it.IsLen:
-		x := e.refExpr(it.Val)
 		ct := ""
 		if it.Pres != nil {
 			ct = ctypeOf(it.Pres)
@@ -672,18 +712,12 @@ func (e *emitter) chunkGet(b string, it mir.ChunkItem) error {
 		if it.Bound > 0 && it.Bound < uint64(0xFFFFFFFF) {
 			bound = it.Bound
 		}
-		e.pf("%s, %s := d.CheckLen(%s, %d, %v)", n, ok, raw, bound, it.Nul)
+		e.pf("%s, %s := d.CheckLen(%s, %d, %v, %d)", n, ok, raw, bound, it.Nul, it.ElemMin)
 		e.pf("if !%s {", ok)
 		e.emitRetErr()
 		e.pf("}")
 		e.lenVars[it.Val.String()] = n
-		if strings.HasPrefix(ct, "[]") || ct == "ObjectKey" {
-			// Same suppression as lenItem: an alias bulk supplies the
-			// storage for this value.
-			if !(e.zc && e.zcVals[it.Val.String()]) {
-				e.pf("%s = make(%s, %s)", x, ct, n)
-			}
-		}
+		e.allocCounted(it.Val, ct, n, it.Slab)
 	default:
 		ct := ""
 		if it.Pres != nil {

@@ -47,6 +47,10 @@ type parser struct {
 	// scope chain) to definitions.
 	types  map[string]aoi.Type
 	consts map[string]*aoi.ConstDef
+	// inAngle is set while a '<'-bracketed bound is being parsed: there
+	// ">>" closes two brackets rather than shifting (parentheses bring
+	// the operator back, as in C++).
+	inAngle bool
 }
 
 var corbaKeywords = map[string]bool{
@@ -615,7 +619,7 @@ func (p *parser) shiftExpr() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for p.At("<<") || p.At(">>") {
+	for p.At("<<") || p.At(">>") && !p.inAngle {
 		op := p.Tok().Text
 		if err := p.Advance(); err != nil {
 			return 0, err
@@ -710,7 +714,10 @@ func (p *parser) unaryExpr() (int64, error) {
 		if err := p.Advance(); err != nil {
 			return 0, err
 		}
+		outer := p.inAngle
+		p.inAngle = false
 		v, err := p.parseConstExpr()
+		p.inAngle = outer
 		if err != nil {
 			return 0, err
 		}
@@ -754,6 +761,18 @@ func (p *parser) lookupEnumMember(name string) (int64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// parseAngleBound parses the bound of string<N> / sequence<T, N> and the
+// closing bracket.
+func (p *parser) parseAngleBound() (uint32, error) {
+	p.inAngle = true
+	n, err := p.parseConstUint()
+	p.inAngle = false
+	if err != nil {
+		return 0, err
+	}
+	return n, p.ExpectAngleClose()
 }
 
 func (p *parser) parseConstUint() (uint32, error) {
@@ -1015,11 +1034,8 @@ func (p *parser) parseType() (aoi.Type, error) {
 			if err := p.Advance(); err != nil {
 				return nil, err
 			}
-			n, err := p.parseConstUint()
+			n, err := p.parseAngleBound()
 			if err != nil {
-				return nil, err
-			}
-			if err := p.Expect(">"); err != nil {
 				return nil, err
 			}
 			return &aoi.String{Bound: n}, nil
@@ -1040,11 +1056,10 @@ func (p *parser) parseType() (aoi.Type, error) {
 		if ok, err := p.Accept(","); err != nil {
 			return nil, err
 		} else if ok {
-			if bound, err = p.parseConstUint(); err != nil {
+			if bound, err = p.parseAngleBound(); err != nil {
 				return nil, err
 			}
-		}
-		if err := p.Expect(">"); err != nil {
+		} else if err := p.ExpectAngleClose(); err != nil {
 			return nil, err
 		}
 		return &aoi.Sequence{Elem: elem, Bound: bound}, nil

@@ -361,3 +361,54 @@ func TestPrimitiveTypes(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedAngleBrackets: the lexer's longest match makes the two
+// closers of nested brackets one ">>" token; where the grammar wants '>'
+// the parser splits it. Inside a bracket ">>" never shifts (parentheses
+// bring the operator back); outside it still does.
+func TestNestedAngleBrackets(t *testing.T) {
+	f := mustParse(t, `
+		const long K = 256 >> 2;
+		typedef sequence<string<20>> names;
+		typedef sequence<sequence<long>> grid;
+		typedef sequence<sequence<string<(K>>2)>, 4>> deep;
+		typedef sequence<string<20> > spaced;
+	`)
+	names := f.LookupType("names").Type.(*aoi.Sequence)
+	if s, ok := names.Elem.(*aoi.String); !ok || s.Bound != 20 || names.Bound != 0 {
+		t.Errorf("names = sequence<%v>, bound %d", names.Elem, names.Bound)
+	}
+	grid := f.LookupType("grid").Type.(*aoi.Sequence)
+	if inner, ok := grid.Elem.(*aoi.Sequence); !ok || inner.Bound != 0 {
+		t.Errorf("grid elem = %v", grid.Elem)
+	}
+	deep := f.LookupType("deep").Type.(*aoi.Sequence)
+	mid, ok := deep.Elem.(*aoi.Sequence)
+	if !ok || mid.Bound != 4 {
+		t.Fatalf("deep elem = %v", deep.Elem)
+	}
+	if s, ok := mid.Elem.(*aoi.String); !ok || s.Bound != 16 {
+		t.Errorf("deep innermost = %v, want string<16>", mid.Elem)
+	}
+	spaced := f.LookupType("spaced").Type.(*aoi.Sequence)
+	if s, ok := spaced.Elem.(*aoi.String); !ok || s.Bound != 20 {
+		t.Errorf("spaced elem = %v", spaced.Elem)
+	}
+}
+
+// TestUnbalancedAngleBrackets: splitting ">>" must not hide a genuinely
+// unbalanced bracket — one closer too many or too few is still a
+// positioned error naming what was expected.
+func TestUnbalancedAngleBrackets(t *testing.T) {
+	for _, tt := range []struct{ src, want string }{
+		{"typedef sequence<string<20>>> q;", `bad.idl:1:29: expected identifier, found ">"`},
+		{"typedef sequence<string<20> q;", `bad.idl:1:29: expected ">", found "q"`},
+		{"typedef sequence<long>> q;", `bad.idl:1:23: expected identifier, found ">"`},
+		{"typedef string<20 >> 1> s;", `bad.idl:1:20: expected identifier, found ">"`},
+	} {
+		_, err := Parse("bad.idl", tt.src)
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("Parse(%q) = %v, want error containing %q", tt.src, err, tt.want)
+		}
+	}
+}

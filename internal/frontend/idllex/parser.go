@@ -51,6 +51,20 @@ func (p *Parser) Expect(text string) error {
 	return p.Advance()
 }
 
+// ExpectAngleClose consumes the '>' that closes a '<' bracket. The
+// lexer's longest match turns the two closers of nested brackets
+// (sequence<string<20>>) into one ">>" shift token; here, where the
+// grammar wants '>', that token is split: its first half is consumed
+// and its second half stays current.
+func (p *Parser) ExpectAngleClose() error {
+	if p.At(">>") {
+		p.tok.Text = ">"
+		p.tok.Col++
+		return nil
+	}
+	return p.Expect(">")
+}
+
 // ExpectIdent consumes a required identifier and returns its spelling.
 func (p *Parser) ExpectIdent() (string, error) {
 	if p.tok.Kind != Ident {

@@ -130,7 +130,7 @@ func (m *Marshaler) readArray(d *rt.Decoder, n *pres.Node, v reflect.Value, fixe
 		} else {
 			raw = d.U32LE()
 		}
-		c, okLen := d.CheckLen(raw, boundOf(arr), nul)
+		c, okLen := d.CheckLen(raw, boundOf(arr), nul, 1)
 		if !okLen {
 			return d.Err()
 		}

@@ -13,10 +13,13 @@
 //     fixed-layout regions),
 //   - memcpy/bulk copying of byte-compatible arrays,
 //   - inlining (aggregate marshal code expanded in place; out-of-line
-//     subprograms only for recursion, or everywhere when disabled).
+//     subprograms only for recursion, or everywhere when disabled),
+//   - parameter management (PlanStorage: one slab per unmarshaled
+//     message for its strings and byte sequences; not an Option — it is
+//     licensed by analysis alone).
 //
-// Each is independently switchable through Options so the ablation
-// benchmarks can quantify it.
+// Each of the first four is independently switchable through Options so
+// the ablation benchmarks can quantify it.
 package mir
 
 import (
@@ -101,6 +104,21 @@ type Stats struct {
 	// types, or everything when inlining is off).
 	InlinedAggregates int `json:"inlined_aggregates"`
 	OutOfLineSubs     int `json:"out_of_line_subs"`
+	// SlabSites counts decoded strings and byte sequences carved from
+	// their message's slab; the SlabFallback* counters are the ones
+	// that keep a per-datum allocation, by reason: the message's lone
+	// such value, variable-size data that is not byte payload in the
+	// same region, a recursive subprogram in it (see PlanStorage).
+	SlabSites             int `json:"slab_sites"`
+	SlabFallbackLone      int `json:"slab_fallback_lone"`
+	SlabFallbackVariable  int `json:"slab_fallback_variable"`
+	SlabFallbackRecursive int `json:"slab_fallback_recursive"`
+}
+
+// SlabFallbackSites returns the byte-data sites left on per-datum
+// allocation, all reasons together.
+func (s *Stats) SlabFallbackSites() int {
+	return s.SlabFallbackLone + s.SlabFallbackVariable + s.SlabFallbackRecursive
 }
 
 // SpaceChecksEliminated returns the checks removed by grouping.
@@ -121,6 +139,10 @@ func (s *Stats) Add(o Stats) {
 	s.AliasCopy += o.AliasCopy
 	s.InlinedAggregates += o.InlinedAggregates
 	s.OutOfLineSubs += o.OutOfLineSubs
+	s.SlabSites += o.SlabSites
+	s.SlabFallbackLone += o.SlabFallbackLone
+	s.SlabFallbackVariable += o.SlabFallbackVariable
+	s.SlabFallbackRecursive += o.SlabFallbackRecursive
 }
 
 // AllOptimizations returns the production option set.
@@ -251,6 +273,14 @@ type LenItem struct {
 	// Nul marks CDR strings: the count includes a terminating NUL.
 	Nul  bool
 	Pres *pres.Node
+	// ElemMin is the least number of wire bytes one counted element
+	// occupies (unmarshal programs; set by optimize): the decoder
+	// rejects a count the rest of the message cannot hold.
+	ElemMin int
+	// Slab marks the length item of a byte sequence carved from the
+	// message slab (see PlanStorage): storage comes from the slab, not a
+	// per-datum allocation.
+	Slab bool
 }
 
 // Bulk copies the whole element payload of an array at once (the memcpy
@@ -272,6 +302,9 @@ type Bulk struct {
 	// licenses the emitter's zero-copy path, and the zerocopy verifier
 	// cross-checks every proof at the stage boundary.
 	Alias *AliasProof
+	// Slab marks a byte-data site carved from the message slab (see
+	// PlanStorage).
+	Slab bool
 }
 
 // Loop runs Body once per element of Over, binding the element to Var.
@@ -284,6 +317,10 @@ type Loop struct {
 	// ElemPres presents the element type; OverPres the whole array.
 	ElemPres *pres.Node
 	OverPres *pres.Node
+	// Slab marks a byte-data element loop (a string or byte sequence
+	// decoded without the memcpy optimization) carved from the message
+	// slab (see PlanStorage).
+	Slab bool
 }
 
 // Opt is optional data: a presence boolean followed, when present, by
@@ -341,6 +378,9 @@ type ChunkItem struct {
 	Bound uint64
 	Nul   bool
 	Pres  *pres.Node
+	// ElemMin and Slab are LenItem's, for length prefixes.
+	ElemMin int
+	Slab    bool
 }
 
 // CallSub invokes an out-of-line subprogram (recursive types; every named
@@ -382,6 +422,9 @@ type Program struct {
 	Class      SizeClass
 	FixedBytes int
 	BoundBytes int
+	// Slab is the unmarshal-side storage plan, nil until PlanStorage
+	// licenses one.
+	Slab *SlabPlan
 }
 
 // Root pairs a root value name with the PRES tree presenting it.

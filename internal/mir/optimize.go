@@ -33,6 +33,9 @@ func optimize(prog *Program, f wire.Format, opts Options) {
 	// The alias pass annotates the (final) op layout with zero-copy
 	// proofs; it rewrites nothing, so it runs for every option set.
 	aliasPass(prog, f, st)
+	if prog.Dir == Unmarshal {
+		annotateElemMins(prog)
+	}
 }
 
 // --- memcpy / bulk conversion -------------------------------------------
@@ -141,6 +144,15 @@ func groupPass(ops []Op, threshold int, dir Dir, st *Stats) []Op {
 			run = append(run, ops[i])
 		case *Bulk:
 			run = append(run, op)
+			if exact && op.Count < 0 {
+				// A run's check is emitted ahead of the whole run, and
+				// checks do not add up: with the bulk in the run, the
+				// Ensure(k) for what follows it would be tested before
+				// its n payload bytes are consumed and pass with
+				// max(n, k) bytes left where n+k are read. End the run
+				// at the bulk, so the tail is checked after it.
+				flush()
+			}
 		case *EnsureDyn:
 			st.SpaceChecksBefore++
 			// Marshal only: a bounded Bulk under the threshold can be

@@ -98,7 +98,7 @@ func FuzzFaultedRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6}) // sustained flips
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		poolBefore := rt.ReadPoolStats()
+		poolBefore := settledPoolStats() // the previous script's teardown may still be releasing
 		clientPipe, serverPipe := rt.Pipe()
 		mut := &frameMutator{inner: clientPipe, data: data}
 		clientSide := rt.WrapChecksum(mut)

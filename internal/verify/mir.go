@@ -24,6 +24,11 @@ import (
 //   - Bulk (memcpy) transfers are byte-identical under the format: the
 //     element is an atom whose per-element wire width matches
 //     f.ArrayElemSize, so a flat copy reproduces the element loop.
+//   - Count guards are sound: the per-element minimum a length item
+//     hands the decoder (ElemMin, derived by the optimizer from Ensure
+//     sums) never exceeds the bytes one element provably transfers,
+//     re-derived here from the transfer ops themselves — an inflated
+//     minimum would reject valid messages.
 //   - classify() consistency: a program whose ops are fully static must
 //     be classified FixedSize with FixedBytes equal to the bytes the
 //     ops actually produce; a program with dynamic ops must not claim
@@ -34,7 +39,7 @@ func MIR(prog *mir.Program, f wire.Format, name string, mode Mode, c *Counters) 
 	if mode == Off {
 		return nil
 	}
-	v := &mirVerifier{f: f, dir: prog.Dir, strict: mode == Strict, c: c}
+	v := &mirVerifier{f: f, dir: prog.Dir, strict: mode == Strict, c: c, subs: prog.Subs}
 	if c != nil {
 		c.MirPrograms += 1 + len(prog.Subs)
 	}
@@ -61,6 +66,8 @@ type mirVerifier struct {
 	strict bool
 	c      *Counters
 	out    Findings
+	// subs resolves CallSub ops for minTransfer.
+	subs []*mir.Sub
 }
 
 func (v *mirVerifier) failf(path, format string, args ...any) {
@@ -243,6 +250,8 @@ func (v *mirVerifier) verifyOps(ops []mir.Op, path string, sp space, cur cursor,
 			v.checkPlacement(&cur, wire.U32, op.Wire, &sp, p)
 			if op.Val == nil {
 				v.failf(p, "length prefix with no counted value")
+			} else {
+				v.checkElemMin(ops, op.Val, op.ElemMin, p)
 			}
 			// The payload that follows is data-dependent.
 			cur.loseTrack()
@@ -269,6 +278,11 @@ func (v *mirVerifier) verifyOps(ops []mir.Op, path string, sp space, cur cursor,
 
 		case *mir.Chunk:
 			v.checkChunk(op, &cur, p)
+			for j, it := range op.Items {
+				if it.IsLen && it.Val != nil {
+					v.checkElemMin(ops, it.Val, it.ElemMin, fmt.Sprintf("%s.items[%d]", p, j))
+				}
+			}
 			if !sp.debit(op.Size) {
 				v.failf(p, "chunk of %d bytes not dominated by an ensure-space check", op.Size)
 			}
@@ -313,6 +327,82 @@ func (v *mirVerifier) checkPlacement(cur *cursor, a wire.Atom, w int, sp *space,
 		v.failf(path, "%d-byte transfer not dominated by an ensure-space check", w)
 	}
 	cur.advance(w)
+}
+
+// checkElemMin holds a length item's count guard against the payload
+// op that follows it among siblings: the decoder rejects
+// count x elemMin > remaining, so elemMin above what one element
+// provably transfers would refuse well-formed messages.
+func (v *mirVerifier) checkElemMin(siblings []mir.Op, val mir.Ref, elemMin int, path string) {
+	if elemMin == 0 {
+		return // no guard beyond the decoder's own count <= remaining
+	}
+	proven := 0
+	switch pl := mir.Payload(siblings, val).(type) {
+	case *mir.Bulk:
+		proven = pl.ElemWire
+	case *mir.Loop:
+		proven = v.minTransfer(pl.Body, map[int]bool{})
+	}
+	if elemMin < 0 || elemMin > proven {
+		v.failf(path, "count guard assumes %d bytes/element of %s, only %d provable", elemMin, val, proven)
+	}
+}
+
+// minTransfer is the least number of bytes ops move across the wire,
+// counted from the transfer ops (never from Ensure ops, which is where
+// the optimizer gets its figure): dynamic payloads and optionals at
+// zero, a union at its discriminator plus its cheapest arm, a
+// recursive subprogram at zero.
+func (v *mirVerifier) minTransfer(ops []mir.Op, active map[int]bool) int {
+	n := 0
+	for _, op := range ops {
+		switch op := op.(type) {
+		case *mir.Item:
+			n += op.Wire
+		case *mir.ConstItem:
+			n += op.Wire
+		case *mir.LenItem:
+			n += op.Wire
+		case *mir.Chunk:
+			n += op.Size
+		case *mir.Bulk:
+			if op.Count > 0 {
+				n += op.Count * op.ElemWire
+			}
+		case *mir.Loop:
+			if op.Count > 0 {
+				n += op.Count * v.minTransfer(op.Body, active)
+			}
+		case *mir.Opt:
+			n += op.Wire
+		case *mir.Switch:
+			arms := make([][]mir.Op, 0, len(op.Cases)+1)
+			for _, c := range op.Cases {
+				arms = append(arms, c.Body)
+			}
+			if op.HasDefault {
+				arms = append(arms, op.Default)
+			}
+			least := -1
+			for _, arm := range arms {
+				if a := v.minTransfer(arm, active); least < 0 || a < least {
+					least = a
+				}
+			}
+			n += op.Wire
+			if least > 0 {
+				n += least
+			}
+		case *mir.CallSub:
+			if op.Sub >= 0 && op.Sub < len(v.subs) && !active[op.Sub] {
+				active[op.Sub] = true
+				n += v.minTransfer(v.subs[op.Sub].Ops, active)
+				delete(active, op.Sub)
+			}
+		}
+	}
+	return n
 }
 
 // staticNeed sums the unchecked bytes a region consumes beyond its own

@@ -306,3 +306,27 @@ func TestMIRAbsorbedSwitchUnderfunded(t *testing.T) {
 	wantFinding(t, fs, "MIR", "t.ops[1]", "absorbed switch needs 8 bytes")
 	wantFinding(t, fs, "MIR", "t.ops[1].cases[0].ops[0]", "not dominated by an ensure-space check")
 }
+
+// TestMIRInflatedCountGuard corrupts the per-element minimum a length
+// item hands the decoder: a loop body that provably transfers 8 bytes
+// per element guarded as if it transferred 12 would make the decoder
+// refuse well-formed messages, so the verifier must refuse the program.
+func TestMIRInflatedCountGuard(t *testing.T) {
+	v := &mir.Param{Name: "v"}
+	build := func(elemMin int) *mir.Program {
+		return prog(mir.Unmarshal, mir.UnboundedSize, 0,
+			&mir.Ensure{Bytes: 4},
+			&mir.LenItem{Wire: 4, Val: v, ElemMin: elemMin},
+			&mir.Loop{Over: v, Var: "e1", Count: -1, Body: []mir.Op{
+				&mir.Ensure{Bytes: 8},
+				&mir.Item{Atom: wire.U32, Wire: 4, Val: &mir.Field{Base: &mir.Elem{Var: "e1"}, Name: "A"}},
+				&mir.Item{Atom: wire.U32, Wire: 4, Val: &mir.Field{Base: &mir.Elem{Var: "e1"}, Name: "B"}},
+			}},
+		)
+	}
+	if fs := MIR(build(8), xdr(), "t", On, nil); len(fs) != 0 {
+		t.Fatalf("exact count guard rejected:\n%s", fs.Error())
+	}
+	fs := MIR(build(12), xdr(), "t", On, nil)
+	wantFinding(t, fs, "MIR", "t.ops[1]", "count guard assumes 12 bytes/element of v, only 8 provable")
+}

@@ -107,3 +107,32 @@ func TestAtomStrings(t *testing.T) {
 		t.Error("ByteOrder names")
 	}
 }
+
+// TestAlignmentsArePowersOfTwo pins the precondition rt's Encoder.Align
+// and Decoder.Align rely on to pad with a mask instead of two divisions:
+// every alignment a format can ask for — per atom, for array padding,
+// and as its maximum — is a power of two.
+func TestAlignmentsArePowersOfTwo(t *testing.T) {
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	atoms := []Atom{U8, U16, U32, U64, I8, I16, I32, I64, F32, F64, Bool, Char}
+	for _, name := range []string{"xdr", "cdr", "cdr-le", "mach3", "fluke"} {
+		f, ok := ByName(name)
+		if !ok {
+			t.Fatalf("no format %q", name)
+		}
+		for _, a := range atoms {
+			if n := f.Align(a); !pow2(n) {
+				t.Errorf("%s: Align(%v) = %d, not a power of two", name, a, n)
+			}
+			if n := f.Align(a); n > f.MaxAlign() {
+				t.Errorf("%s: Align(%v) = %d exceeds MaxAlign %d", name, a, n, f.MaxAlign())
+			}
+		}
+		if n := f.MaxAlign(); !pow2(n) {
+			t.Errorf("%s: MaxAlign = %d, not a power of two", name, n)
+		}
+		if n := f.ArrayPad(); !pow2(n) {
+			t.Errorf("%s: ArrayPad = %d, not a power of two", name, n)
+		}
+	}
+}

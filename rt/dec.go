@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // ErrTruncated reports a message shorter than its contents claim.
@@ -50,6 +51,11 @@ type Decoder struct {
 	// into it, which pins the arena at Release instead of recycling it.
 	arena   []byte
 	aliased bool
+	// slab is the message's parameter storage (see Slab): len is what
+	// has been carved so far, cap what was provisioned. Strings and
+	// byte sequences the stub hands to its caller live here, so the
+	// decoder only ever holds the reference until the next Reset.
+	slab []byte
 }
 
 // relim recomputes the fast-path limit after anything that rebinds
@@ -111,6 +117,7 @@ func (d *Decoder) Reset(payload []byte) {
 	d.err = nil
 	d.arena = nil
 	d.aliased = false
+	d.slab = nil
 	d.relim()
 }
 
@@ -198,10 +205,81 @@ func (d *Decoder) Next(n int) []byte {
 	return w
 }
 
-// Align skips to an n-byte boundary.
+// Slab provisions the message's parameter storage: one allocation that
+// NextString and SlabBytes carve the message's strings and byte
+// sequences from, instead of one allocation per datum. fixed is the
+// compiler's static minimum of the unread bytes that are *not* such
+// data (length words, scalars, fixed arrays: per-iteration minimum x
+// decoded count + the fixed tail), so the capacity — what remains minus
+// fixed — never exceeds the received message and is exact up to
+// alignment padding. The capacity is a provisioning hint only: a carve
+// that does not fit allocates on its own, and a message too short for
+// its own fixed part provisions nothing (its decode fails at the next
+// Ensure). Space left by an earlier Slab call on the same message is
+// kept when it suffices.
+func (d *Decoder) Slab(fixed int) {
+	if fixed < 0 {
+		fixed = 0 // whatever the caller computed, never more than what is unread
+	}
+	if n := len(d.buf) - d.pos - fixed; n > cap(d.slab)-len(d.slab) {
+		d.slab = make([]byte, 0, n)
+	}
+}
+
+// carve takes the next n bytes of the slab as a window capped at its
+// own length (an append by the holder reallocates rather than running
+// into the next value), or returns nil when nothing was provisioned or
+// it does not fit.
+func (d *Decoder) carve(n int) []byte {
+	off := len(d.slab)
+	if n <= 0 || n > cap(d.slab)-off {
+		return nil
+	}
+	d.slab = d.slab[:off+n]
+	return d.slab[off : off+n : off+n]
+}
+
+// SlabBytes returns n bytes of caller-owned storage for a decoded byte
+// sequence: a slab window when one fits, a fresh allocation otherwise.
+func (d *Decoder) SlabBytes(n int) []byte {
+	if b := d.carve(n); b != nil {
+		return b
+	}
+	return make([]byte, n)
+}
+
+// SlabString turns the window the immediately preceding SlabBytes
+// returned into a string without copying it. This is the runtime's one
+// unsafe.String, and it is sound because slab bytes are handed out
+// exactly once (carve only moves forward, windows are capped, and the
+// decoder drops its slab reference at Reset/Release rather than reusing
+// the memory), so once the stub that filled b lets go of it nothing can
+// write those bytes again. Anything that is not the slab's most recent
+// window — a SlabBytes fallback allocation, foreign bytes — is copied.
+// The string keeps its whole slab reachable: retaining one decoded
+// string retains at most one message's worth of parameter storage.
+func (d *Decoder) SlabString(b []byte) string {
+	if n := len(b); n > 0 && n <= len(d.slab) && &b[0] == &d.slab[len(d.slab)-n] {
+		return unsafe.String(&b[0], n)
+	}
+	return string(b)
+}
+
+// NextString consumes an n-byte window (availability ensured) as a
+// string, stored in the slab when it fits.
+func (d *Decoder) NextString(n int) string {
+	w := d.Next(n)
+	if b := d.carve(n); b != nil {
+		copy(b, w)
+		return d.SlabString(b)
+	}
+	return string(w)
+}
+
+// Align skips to an n-byte boundary. n must be a power of two (every
+// wire.Format alignment is).
 func (d *Decoder) Align(n int) {
-	pad := (n - d.pos%n) % n
-	d.pos += pad
+	d.pos += -d.pos & (n - 1)
 	if d.pos > len(d.buf) {
 		d.pos = len(d.buf)
 		d.Fail(ErrTruncated)
@@ -276,20 +354,25 @@ func (d *Decoder) U64LEC() uint64 {
 
 // Len reads a u32 count (availability of the 4 count bytes must already
 // be ensured) and validates it against bound (0 means the full u32
-// range). nul subtracts the CDR string NUL from the returned count.
-func (d *Decoder) Len(order ByteOrder, bound uint32, nul bool) (int, bool) {
+// range) and, through elemMin, against the remaining payload. nul
+// subtracts the CDR string NUL from the returned count.
+func (d *Decoder) Len(order ByteOrder, bound uint32, nul bool, elemMin int) (int, bool) {
 	var n uint32
 	if order == BE {
 		n = d.U32BE()
 	} else {
 		n = d.U32LE()
 	}
-	return d.CheckLen(n, bound, nul)
+	return d.CheckLen(n, bound, nul, elemMin)
 }
 
 // CheckLen validates an already-read count against its bound and the
-// remaining payload. nul subtracts the CDR string NUL.
-func (d *Decoder) CheckLen(n uint32, bound uint32, nul bool) (int, bool) {
+// remaining payload. nul subtracts the CDR string NUL. elemMin is the
+// least number of wire bytes one element occupies (the compiler's
+// per-iteration minimum; anything below 1 counts as 1): a count whose
+// elements cannot fit in what is left of the message is rejected here,
+// before the caller allocates count elements of any presented size.
+func (d *Decoder) CheckLen(n uint32, bound uint32, nul bool, elemMin int) (int, bool) {
 	if nul {
 		if n == 0 {
 			d.Fail(fmt.Errorf("%w: zero-length NUL-counted string", ErrBadConst))
@@ -301,11 +384,14 @@ func (d *Decoder) CheckLen(n uint32, bound uint32, nul bool) (int, bool) {
 		d.Fail(fmt.Errorf("%w: %d > %d", ErrBound, n, bound))
 		return 0, false
 	}
-	// Guard absurd lengths against the remaining payload so a hostile
-	// count cannot force a huge allocation.
-	if int64(n) > int64(len(d.buf)-d.pos) {
-		d.Fail(fmt.Errorf("%w: count %d exceeds remaining %d bytes",
-			ErrTruncated, n, len(d.buf)-d.pos))
+	if elemMin < 1 {
+		elemMin = 1
+	}
+	// n < 2^32 and elemMin is a compile-time constant far below 2^31,
+	// so the product cannot overflow int64.
+	if int64(n)*int64(elemMin) > int64(len(d.buf)-d.pos) {
+		d.Fail(fmt.Errorf("%w: count %d x %d bytes exceeds remaining %d bytes",
+			ErrTruncated, n, elemMin, len(d.buf)-d.pos))
 		return 0, false
 	}
 	return int(n), true

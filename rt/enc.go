@@ -176,9 +176,9 @@ func (e *Encoder) Next(n int) []byte {
 // Align pads the payload with zeros to an n-byte boundary. The wire
 // cursor counts alias segments (XDR opaque padding after an aliased
 // region must land after the aliased bytes, not after the buffered
-// prefix).
+// prefix). n must be a power of two (every wire.Format alignment is).
 func (e *Encoder) Align(n int) {
-	pad := (n - (len(e.buf)+e.aliasBytes)%n) % n
+	pad := -(len(e.buf) + e.aliasBytes) & (n - 1)
 	if pad == 0 {
 		return
 	}

@@ -73,22 +73,30 @@ func FuzzProtocolHeaders(f *testing.F) {
 // FuzzDecoderPayload uses the fuzz input twice: as an op stream driving
 // a random walk over the Decoder primitives that generated unmarshal
 // code performs (Ensure/Next, alignment, checked reads, counted
-// lengths), and as the payload being decoded. Whatever the walk, the
-// decoder must not panic, the cursor must stay inside the buffer, and
-// the guarantees behind unchecked reads must hold: Ensure(n) == true
-// means n bytes really remain, and a Len/CheckLen success means the
-// counted region fits without a further check (the hostile-count
-// guard).
+// lengths, slab provisioning and carving), and as the payload being
+// decoded. Whatever the walk, the decoder must not panic, the cursor
+// must stay inside the buffer, and the guarantees behind unchecked
+// reads must hold: Ensure(n) == true means n bytes really remain, and a
+// Len/CheckLen success means count x the element minimum fits without
+// a further check (the hostile-count guard). The slab never outgrows
+// the message, whatever it was asked for.
 func FuzzDecoderPayload(f *testing.F) {
 	for _, frame := range goldenWire() {
 		f.Add(frame)
 	}
+	// Hostile counts against a per-element minimum (op%13 == 10; the
+	// count is the first four bytes, the minimum op>>4 + 1), then slab
+	// walks: provision (11) and carve (12) over a short payload.
+	f.Add([]byte{10, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{0xf7, 0, 0, 1, 0xf7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{11, 12, 12, 25, 12, 'p', 'a', 'y', 'l', 'o', 'a', 'd', 0, 0, 0, 3, 'a', 'b', 'c'})
+	f.Add([]byte{0xf5, 12, 11, 12, 38, 64, 12, 12})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxOps = 64
 		d := NewDecoder(data)
 		for i := 0; i < len(data) && i < maxOps; i++ {
 			op := data[i]
-			switch op % 10 {
+			switch op % 13 {
 			case 0:
 				n := int(op)
 				if d.Ensure(n) {
@@ -115,7 +123,7 @@ func FuzzDecoderPayload(f *testing.F) {
 			case 7:
 				// Bounded count, big-endian (XDR style).
 				if d.Ensure(4) {
-					if n, ok := d.Len(BE, uint32(op), false); ok {
+					if n, ok := d.Len(BE, uint32(op), false, 1); ok {
 						if d.Remaining() < n {
 							t.Fatalf("Len accepted count %d with %d bytes remaining", n, d.Remaining())
 						}
@@ -127,7 +135,7 @@ func FuzzDecoderPayload(f *testing.F) {
 				// CheckLen success guarantees the body fits, so the
 				// Next needs no further Ensure.
 				if d.Ensure(4) {
-					if n, ok := d.Len(LE, 0, true); ok {
+					if n, ok := d.Len(LE, 0, true, 1); ok {
 						d.Next(n)
 					}
 				}
@@ -135,9 +143,39 @@ func FuzzDecoderPayload(f *testing.F) {
 				if d.EnsureDyn(4, 8, int(op)) {
 					d.Next(4 + 8*int(op))
 				}
+			case 10:
+				// Count of elements at least elemMin wire bytes each: a
+				// success means a make(count) is backed by the message.
+				if d.Ensure(4) {
+					elemMin := int(op>>4) + 1
+					if n, ok := d.Len(BE, 0, false, elemMin); ok && n*elemMin > d.Remaining() {
+						t.Fatalf("Len accepted %d elements of >= %d bytes with %d bytes remaining",
+							n, elemMin, d.Remaining())
+					}
+				}
+			case 11:
+				d.Slab(int(op) - 64)
+			case 12:
+				n := int(op) / 13
+				if d.Ensure(n) {
+					if s := d.NextString(n); s != string(data[d.Pos()-n:d.Pos()]) {
+						t.Fatalf("NextString(%d) = %q, wire has %q", n, s, data[d.Pos()-n:d.Pos()])
+					}
+					b := d.SlabBytes(n)
+					if len(b) != n || cap(b) != n && n > 0 {
+						t.Fatalf("SlabBytes(%d): len %d cap %d", n, len(b), cap(b))
+					}
+					copy(b, "slab-window-bytes")
+					if s := d.SlabString(b); s != string(b) {
+						t.Fatalf("SlabString = %q, window holds %q", s, b)
+					}
+				}
 			}
 			if d.Pos() > len(data) {
 				t.Fatalf("op %d (%d): cursor %d past end %d", i, op, d.Pos(), len(data))
+			}
+			if cap(d.slab) > len(data) {
+				t.Fatalf("op %d (%d): slab of %d bytes for a %d-byte message", i, op, cap(d.slab), len(data))
 			}
 		}
 	})

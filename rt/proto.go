@@ -316,7 +316,7 @@ func (g GIOP) ReadRequest(d *Decoder) (ReqHeader, error) {
 	if !d.Ensure(4) {
 		return h, d.Err()
 	}
-	keyLen, ok := d.Len(orderOf(g.Little), 0, false)
+	keyLen, ok := d.Len(orderOf(g.Little), 0, false, 1)
 	if !ok {
 		return h, d.Err()
 	}
@@ -328,7 +328,7 @@ func (g GIOP) ReadRequest(d *Decoder) (ReqHeader, error) {
 	if !d.Ensure(4) {
 		return h, d.Err()
 	}
-	opLen, ok := d.Len(orderOf(g.Little), 0, true)
+	opLen, ok := d.Len(orderOf(g.Little), 0, true, 1)
 	if !ok {
 		return h, d.Err()
 	}

@@ -116,7 +116,7 @@ func TestDecoderLen(t *testing.T) {
 	e.PutBytes([]byte{1, 2, 3})
 	d := NewDecoder(e.Bytes())
 	d.Ensure(4)
-	n, ok := d.Len(BE, 10, false)
+	n, ok := d.Len(BE, 10, false, 1)
 	if !ok || n != 3 {
 		t.Errorf("Len = %d,%v", n, ok)
 	}
@@ -124,7 +124,7 @@ func TestDecoderLen(t *testing.T) {
 	// Over bound.
 	d = NewDecoder(e.Bytes())
 	d.Ensure(4)
-	if _, ok := d.Len(BE, 2, false); ok {
+	if _, ok := d.Len(BE, 2, false, 1); ok {
 		t.Error("bound 2 should reject 3")
 	}
 
@@ -134,7 +134,7 @@ func TestDecoderLen(t *testing.T) {
 	e2.PutU32BE(1 << 30)
 	d = NewDecoder(e2.Bytes())
 	d.Ensure(4)
-	if _, ok := d.Len(BE, 0, false); ok {
+	if _, ok := d.Len(BE, 0, false, 1); ok {
 		t.Error("hostile count accepted")
 	}
 
@@ -145,7 +145,7 @@ func TestDecoderLen(t *testing.T) {
 	e3.PutBytes([]byte{'h', 'i', 0})
 	d = NewDecoder(e3.Bytes())
 	d.Ensure(4)
-	n, ok = d.Len(LE, 0, true)
+	n, ok = d.Len(LE, 0, true, 1)
 	if !ok || n != 2 {
 		t.Errorf("nul Len = %d,%v", n, ok)
 	}
@@ -155,7 +155,7 @@ func TestDecoderLen(t *testing.T) {
 	e4.PutU32LE(0)
 	d = NewDecoder(e4.Bytes())
 	d.Ensure(4)
-	if _, ok := d.Len(LE, 0, true); ok {
+	if _, ok := d.Len(LE, 0, true, 1); ok {
 		t.Error("zero NUL-counted length accepted")
 	}
 }

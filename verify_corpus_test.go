@@ -21,9 +21,10 @@ func corpusIDLs(t *testing.T) []string {
 	var files []string
 	// typestubs matters: its type zoo (unions inside sequences, recursion
 	// through optionals) regression-tests the verifier's budget model for
-	// grouped ensure checks absorbed across switch arms.
+	// grouped ensure checks absorbed across switch arms. slabstubs pins
+	// the storage-plan shapes (and the `>>` of sequence<string<20>>).
 	for _, dir := range []string{"examples/idl", "internal/teststubs", "internal/typestubs",
-		"internal/streamstubs", "internal/zcstubs"} {
+		"internal/streamstubs", "internal/zcstubs", "internal/slabstubs"} {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
