@@ -25,6 +25,9 @@ lint:
 test:
 	$(GO) test ./...
 
+# Includes what only a race build runs: rt poisons every receive buffer
+# it recycles (rt/race_on.go), and TestRetainedViewReadsPoison asserts a
+# handler that kept its aliased argument sees the poison.
 test-race:
 	$(GO) test -race ./...
 
@@ -67,7 +70,9 @@ bench-rt:
 #   stream    the three generated surfaces, credit-window invariants,
 #             mid-transfer chaos soak, chunk x window sweep
 #   zerocopy  alloc-guarded vectored round trips, arena soak, arenalife and
-#             zerocopy strict corpus gates, the prover's negative tests
+#             zerocopy strict corpus gates, the prover's negative tests; the
+#             receive-buffer lease: refcount, wrapper matrix, arena ledger
+#             soak, echoed views, and (race builds) the poisoned retained view
 #   drain     deadlines, cancel frames, breaker half-open, hedging safety, the
 #             rolling-restart drain soak (loss-free clean, classified-only at
 #             5% faults); reports drain and hedge
@@ -90,8 +95,8 @@ RUN_stream    := TestStream|TestBlob|TestAsync|TestPromise
 PKGS_stream   := ./rt ./internal/streamstubs ./internal/teststubs ./internal/experiment
 REPORT_stream := stream
 
-RUN_zerocopy    := TestZeroCopy|TestArenaLife|TestVerifyCorpusZeroCopy|TestLintCorpus
-PKGS_zerocopy   := ./internal/zcstubs ./internal/lint ./internal/verify .
+RUN_zerocopy    := TestZeroCopy|TestArenaLife|TestVerifyCorpusZeroCopy|TestLintCorpus|TestLease|TestBatchPartsRecycle|TestWrapperMatrix|TestEchoedView|TestArenaLedger|TestRetainedView|TestArena
+PKGS_zerocopy   := ./rt ./internal/zcstubs ./internal/lint ./internal/verify .
 REPORT_zerocopy := zerocopy
 
 RUN_drain          := TestDeadline|TestExpired|TestClientMapsReplyExpired|TestCtx|TestDrain|TestGoAway|TestBreakerHalfOpen|TestDupCacheAcrossRedial|TestNonIdempotentNeverHedges|TestChaosDrain|TestHedgeTail

@@ -169,6 +169,8 @@ func Generate(f *presc.File, cfg Config) (string, error) {
 		vtbl:    cfg.Style == StylePowerRPC,
 		zc:      cfg.ZeroCopy,
 		subSeen: map[string]bool{},
+
+		borrowed: map[string][]string{},
 	}
 	e.b = &strings.Builder{}
 	return e.file(f)
@@ -197,6 +199,11 @@ type emitter struct {
 	// receive arena, so their length items skip the make (unmarshal
 	// only, -zerocopy only).
 	zcVals map[string]bool
+	// borrowed records, per unmarshal function name, the roots whose
+	// decoded value holds an arena view (-zerocopy only): the dispatch
+	// arm ends the borrow of a request's, the server interface names
+	// them.
+	borrowed map[string][]string
 	// refMap rebinds ref roots (subprogram "v", loop elements).
 	refMap map[string]string
 	// retErr is the statement sequence aborting the current function on
@@ -517,6 +524,7 @@ func (e *emitter) unmarshalFunc(name string, roots []root) (string, error) {
 	e.beginBody(mir.Unmarshal, nil)
 	e.retErr = "err = d.Err()\nreturn"
 	e.curProg = prog
+	e.borrowed[name] = e.borrowedRoots(prog, roots)
 	if err := e.ops(prog.Ops, mir.Unmarshal); err != nil {
 		return "", err
 	}
@@ -613,6 +621,7 @@ func (e *emitter) replyUnmarshalFunc(name string, roots []root, s *presc.Stub) (
 	e.beginBody(mir.Unmarshal, nil)
 	e.retErr = "err = d.Err()\nreturn"
 	e.curProg = prog
+	e.borrowed[name] = e.borrowedRoots(prog, roots)
 	if e.checked {
 		e.pf("st := d.U32%sC()", e.ord())
 	} else {

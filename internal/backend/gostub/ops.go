@@ -200,6 +200,93 @@ func (e *emitter) zcAliasDecode(op *mir.Bulk) bool {
 		op.Count < 0 && ctypeOfBulk(op) != "string"
 }
 
+// borrowedRoots returns, in root order, the names of the roots whose
+// decoded value holds an arena view: a zcAliasDecode bulk addresses
+// them, directly or through a loop element, an optional, a union arm or
+// a subprogram.
+func (e *emitter) borrowedRoots(prog *mir.Program, roots []root) []string {
+	if !e.zc {
+		return nil
+	}
+	rootOf := func(r mir.Ref, env map[string]string) string {
+		for {
+			switch x := r.(type) {
+			case *mir.Param:
+				return x.Name
+			case *mir.Elem:
+				return env[x.Var]
+			case *mir.Field:
+				r = x.Base
+			case *mir.Len:
+				r = x.Base
+			case *mir.Deref:
+				r = x.Base
+			default:
+				return ""
+			}
+		}
+	}
+	marked := map[string]bool{}
+	// subViews[i]: subprogram i decodes a view, itself or through a
+	// subprogram it calls (a fixpoint, below: subprograms recurse).
+	subViews := make([]bool, len(prog.Subs))
+	// walk reports whether ops decode a view, marking the root of each
+	// (env maps loop variables to their root; a subprogram's own refs
+	// name no root, its call site's argument does).
+	var walk func(ops []mir.Op, env map[string]string, top bool) bool
+	walk = func(ops []mir.Op, env map[string]string, top bool) bool {
+		found := false
+		see := func(r mir.Ref) {
+			found = true
+			if top {
+				marked[rootOf(r, env)] = true
+			}
+		}
+		for _, op := range ops {
+			switch op := op.(type) {
+			case *mir.Bulk:
+				if e.zcAliasDecode(op) {
+					see(op.Val)
+				}
+			case *mir.Loop:
+				inner := map[string]string{op.Var: rootOf(op.Over, env)}
+				for k, v := range env {
+					inner[k] = v
+				}
+				found = walk(op.Body, inner, top) || found
+			case *mir.Opt:
+				found = walk(op.Body, env, top) || found
+			case *mir.Switch:
+				for _, c := range op.Cases {
+					found = walk(c.Body, env, top) || found
+				}
+				found = walk(op.Default, env, top) || found
+			case *mir.CallSub:
+				if subViews[op.Sub] {
+					see(op.Arg)
+				}
+			}
+		}
+		return found
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, sub := range prog.Subs {
+			if !subViews[i] && walk(sub.Ops, nil, false) {
+				subViews[i], changed = true, true
+			}
+		}
+	}
+	walk(prog.Ops, nil, true)
+	var out []string
+	for _, r := range roots {
+		if marked[r.name] {
+			out = append(out, r.name)
+		}
+	}
+	return out
+}
+
 func (e *emitter) op(op mir.Op, dir mir.Dir) error {
 	switch op := op.(type) {
 	case *mir.Ensure:

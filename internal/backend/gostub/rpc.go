@@ -80,6 +80,7 @@ func (e *emitter) rpcFuncs(iface string, stubs []*presc.Stub) (string, error) {
 
 	// --- Server interface ---
 	e.pf("// %s is the interface a %s implementation provides.", serverIface, iface)
+	e.borrowDoc(stubs)
 	e.pf("type %s interface {", serverIface)
 	e.indent++
 	for _, s := range stubs {
@@ -342,6 +343,7 @@ func (e *emitter) dispatchArm(s *presc.Stub) error {
 		e.pf("workErr := impl.%s(%s)", pgen.GoName(s.Op),
 			strings.Join(append(callIn, "&"+prefixT+"ServerStream{st: sn}"), ", "))
 		e.pf("sn.Finish(workErr)")
+		e.endBorrow(s)
 		e.pf("return nil")
 		return nil
 	}
@@ -376,6 +378,7 @@ func (e *emitter) dispatchArm(s *presc.Stub) error {
 	e.indent--
 	e.pf("}")
 	if s.Oneway {
+		e.endBorrow(s)
 		e.pf("return nil")
 		return nil
 	}
@@ -396,8 +399,51 @@ func (e *emitter) dispatchArm(s *presc.Stub) error {
 		}
 	}
 	e.pf("Marshal%sReply(%s)", prefix, strings.Join(append([]string{"e"}, repArgs...), ", "))
+	e.endBorrow(s)
 	e.pf("return nil")
 	return nil
+}
+
+// endBorrow emits, in a dispatch arm whose request unmarshal handed out
+// arena views, the call that declares them returned: the work function
+// is back and whatever the reply takes from its arguments is marshaled
+// (by reference at most — the worker sends the reply before it releases
+// the request decoder), so the receive buffer may recycle. The error
+// exits do not reach it and keep the pin.
+func (e *emitter) endBorrow(s *presc.Stub) {
+	if len(e.borrowedArgs(s)) > 0 {
+		e.pf("d.EndBorrow()")
+	}
+}
+
+// borrowedArgs returns the request parameters of s that its unmarshal
+// function hands out as arena views.
+func (e *emitter) borrowedArgs(s *presc.Stub) []string {
+	return e.borrowed["Unmarshal"+stubPrefix(s)+e.cfg.FuncSuffix+"Request"]
+}
+
+// borrowDoc continues the server interface's doc comment with the
+// argument-lifetime rule of every operation whose arguments arrive as
+// arena views, one //flick:borrowed directive each (flick-lint's
+// arenalife analyzer reads them).
+func (e *emitter) borrowDoc(stubs []*presc.Stub) {
+	first := true
+	for _, s := range stubs {
+		names := e.borrowedArgs(s)
+		if len(names) == 0 {
+			continue
+		}
+		if first {
+			first = false
+			e.pf("//")
+			e.pf("// The arguments named below alias the request's receive buffer and are")
+			e.pf("// valid only until the method returns: an implementation that keeps")
+			e.pf("// the bytes copies them (append([]byte(nil), data...)), and must not")
+			e.pf("// store the argument itself, send it or hand it to a goroutine.")
+			e.pf("//")
+		}
+		e.pf("//flick:borrowed %s %s", pgen.GoName(s.Op), strings.Join(names, " "))
+	}
 }
 
 func isAggregate(n *pres.Node) bool {

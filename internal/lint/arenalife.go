@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // ArenaLife enforces the arena-borrow contract on decode-side alias
@@ -25,11 +26,28 @@ import (
 //   - captured by a function literal that may run after Release;
 //   - used after the decoder's Release in straight-line order.
 //
-// The runtime backstops all of these by pinning an aliased arena at
-// Release (an escaped view can never observe recycled bytes — it can
-// only forfeit a buffer reuse, counted in ZeroCopyStats.ArenaPinned),
-// so arenalife findings are discipline bugs, not memory-safety holes:
-// each one is a pin the code did not need to pay for.
+// Decoder.EndBorrow ends a borrow exactly as Release does: it declares
+// every view returned, so the receive buffer may recycle under one that
+// was kept.
+//
+// The server side of the contract has no decoder in sight. A generated
+// -zerocopy skeleton hands its work function arena views as plain
+// []byte arguments and ends their borrow when it returns; the generated
+// server interface names them in //flick:borrowed directives. A method
+// implementing such an interface must not store its borrowed
+// parameters (field, global, composite value), send them on a channel,
+// or hand them to a goroutine; returning one is fine — the
+// skeleton marshals the reply before the borrow ends — and so is
+// copying the bytes out, which is how an implementation keeps them.
+//
+// The runtime backstops a view escaping past Release by pinning the
+// aliased arena (an escaped view can never observe recycled bytes — it
+// can only forfeit a buffer reuse, counted in
+// ZeroCopyStats.ArenaPinned), so those findings are discipline bugs,
+// not memory-safety holes: each one is a pin the code did not need to
+// pay for. A view kept past EndBorrow — a handler retaining its
+// argument — has no such backstop: the buffer recycles and the view
+// reads another message's bytes (race builds poison it first).
 //
 // Like releasecheck, the analysis is flow-approximate: straight-line
 // statement order inside blocks, branches independent — the shapes the
@@ -41,6 +59,7 @@ var ArenaLife = &Analyzer{
 }
 
 func runArenaLife(pass *Pass) error {
+	borrows := borrowedParams(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -48,16 +67,145 @@ func runArenaLife(pass *Pass) error {
 				continue
 			}
 			checkFuncArenaViews(pass, fn)
+			checkHandlerBorrows(pass, fn, borrows)
 		}
 	}
 	return nil
 }
 
+// borrowedMethod is one //flick:borrowed directive resolved against its
+// interface: the parameter positions of method name that arrive as
+// arena views.
+type borrowedMethod struct {
+	iface  *types.Interface
+	name   string
+	params []int
+}
+
+// borrowedParams collects the //flick:borrowed directives on the
+// interface declarations of the package under analysis and of the
+// packages loaded beside it (pass.Borrowed: a directive lives in a doc
+// comment, which export data does not carry).
+func borrowedParams(pass *Pass) []borrowedMethod {
+	var out []borrowedMethod
+	resolve := func(scope *types.Scope, dirs []BorrowDirective) {
+		for _, d := range dirs {
+			tn, ok := scope.Lookup(d.Iface).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			iface, ok := tn.Type().Underlying().(*types.Interface)
+			if !ok {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i)
+				if m.Name() != d.Method {
+					continue
+				}
+				sig := m.Type().(*types.Signature)
+				bm := borrowedMethod{iface: iface, name: d.Method}
+				for j := 0; j < sig.Params().Len(); j++ {
+					for _, p := range d.Params {
+						if sig.Params().At(j).Name() == p {
+							bm.params = append(bm.params, j)
+						}
+					}
+				}
+				out = append(out, bm)
+			}
+		}
+	}
+	resolve(pass.Pkg.Scope(), BorrowDirectives(pass.Files))
+	for _, imp := range pass.Pkg.Imports() {
+		if dirs := pass.Borrowed[imp.Path()]; len(dirs) > 0 {
+			resolve(imp.Scope(), dirs)
+		}
+	}
+	return out
+}
+
+// BorrowDirective is one `//flick:borrowed Method param...` line of an
+// interface declaration's doc comment.
+type BorrowDirective struct {
+	Iface, Method string
+	Params        []string
+}
+
+// BorrowDirectives extracts the //flick:borrowed directives of files.
+func BorrowDirectives(files []*ast.File) []BorrowDirective {
+	var out []BorrowDirective
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				doc := ts.Doc
+				if doc == nil {
+					doc = gd.Doc
+				}
+				if _, isIface := ts.Type.(*ast.InterfaceType); !isIface || doc == nil {
+					continue
+				}
+				for _, c := range doc.List {
+					f := strings.Fields(strings.TrimPrefix(c.Text, "//flick:borrowed "))
+					if !strings.HasPrefix(c.Text, "//flick:borrowed ") || len(f) < 2 {
+						continue
+					}
+					out = append(out, BorrowDirective{Iface: ts.Name.Name, Method: f[0], Params: f[1:]})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkHandlerBorrows applies the escape rules to fn's borrowed
+// parameters when fn is a method implementing an interface method that
+// carries a //flick:borrowed directive.
+func checkHandlerBorrows(pass *Pass, fn *ast.FuncDecl, borrows []borrowedMethod) {
+	if fn.Recv == nil || len(borrows) == 0 {
+		return
+	}
+	obj, ok := pass.Info.Defs[fn.Name].(*types.Func)
+	if !ok {
+		return
+	}
+	recv := obj.Type().(*types.Signature).Recv().Type()
+	var params []*ast.Ident
+	for _, field := range fn.Type.Params.List {
+		params = append(params, field.Names...)
+	}
+	for _, b := range borrows {
+		if b.name != fn.Name.Name || !types.Implements(recv, b.iface) {
+			continue
+		}
+		for _, i := range b.params {
+			if i >= len(params) || params[i].Name == "_" {
+				continue
+			}
+			if p := pass.Info.Defs[params[i]]; p != nil {
+				checkViewEscapes(pass, fn, arenaView{obj: p, pos: fn.Type, handler: true}, true)
+			}
+		}
+	}
+}
+
 // arenaView is one alias-view binding within a function.
 type arenaView struct {
 	obj types.Object // the variable bound to the view
-	dec types.Object // the decoder it borrows from
+	dec types.Object // the decoder it borrows from (nil for a handler's parameter)
 	pos ast.Node     // the acquiring statement
+	// handler marks a borrowed parameter of a generated server
+	// interface's implementation: its borrow ends when the method
+	// returns, so returning it is the one thing the rules allow.
+	handler bool
 }
 
 func checkFuncArenaViews(pass *Pass, fn *ast.FuncDecl) {
@@ -71,7 +219,7 @@ func checkFuncArenaViews(pass *Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Release" {
+		if !ok || !endsBorrow(sel.Sel.Name) {
 			return true
 		}
 		if id, ok := sel.X.(*ast.Ident); ok {
@@ -219,7 +367,7 @@ func checkViewEscapes(pass *Pass, fn *ast.FuncDecl, v arenaView, borrowEnds bool
 				}
 			}
 		case *ast.ReturnStmt:
-			if !borrowEnds {
+			if !borrowEnds || v.handler {
 				return true
 			}
 			for _, r := range n.Results {
@@ -227,7 +375,18 @@ func checkViewEscapes(pass *Pass, fn *ast.FuncDecl, v arenaView, borrowEnds bool
 					pass.Reportf(id.Pos(), "arena view %s returned after its borrow ends (this function releases the decoder — copy the bytes out, or drop the Release to transfer ownership)", v.obj.Name())
 				}
 			}
+		case *ast.GoStmt:
+			if v.handler && usesView(pass, n.Call, v.obj) {
+				pass.Reportf(n.Pos(), "arena view %s captured by a goroutine (it may run after the method returns and the borrow ends)", v.obj.Name())
+				return false
+			}
 		case *ast.FuncLit:
+			if v.handler {
+				// A literal the method calls before it returns (a marshal
+				// callback, a sort) runs inside the borrow; one that
+				// outlives it is a go statement, above, or is stored.
+				return true
+			}
 			if containsNode(n, v.pos) {
 				// The acquisition lives inside this literal; it owns
 				// the borrow.
@@ -262,13 +421,27 @@ func checkViewEscapes(pass *Pass, fn *ast.FuncDecl, v arenaView, borrowEnds bool
 				continue
 			}
 			if es, ok := s.(*ast.ExprStmt); ok {
-				if call, ok := es.X.(*ast.CallExpr); ok && isReleaseOf(pass, call, v.dec) {
+				if call, ok := es.X.(*ast.CallExpr); ok && isBorrowEndOf(pass, call, v.dec) {
 					releasedAt = i
 				}
 			}
 		}
 		return true
 	})
+}
+
+// endsBorrow reports whether a Decoder method of this name ends the
+// borrow of the views it handed out.
+func endsBorrow(method string) bool { return method == "Release" || method == "EndBorrow" }
+
+// isBorrowEndOf reports whether call is dec.Release() or dec.EndBorrow().
+func isBorrowEndOf(pass *Pass, call *ast.CallExpr, dec types.Object) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || dec == nil || !endsBorrow(sel.Sel.Name) {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && pass.Info.Uses[id] == dec
 }
 
 // usesView reports whether expr references the view variable.

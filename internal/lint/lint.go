@@ -20,9 +20,12 @@
 //     object's lifetime is the call that borrowed it.
 //   - arenalife — slices obtained from Decoder.AliasNext alias a pooled
 //     receive arena and must not escape their borrow (globals, channel
-//     sends, stores or returns past the decoder's Release); the one
-//     sanctioned escape is ownership transfer, the generated Unmarshal
-//     shape that hands the view on without releasing.
+//     sends, stores or returns past the decoder's Release or
+//     EndBorrow); the one sanctioned escape is ownership transfer, the
+//     generated Unmarshal shape that hands the view on without
+//     releasing. A method implementing a generated -zerocopy server
+//     interface must not store, send or hand to a goroutine the parameters its
+//     //flick:borrowed directives name.
 //
 // A finding on a line carrying a `//lint:allow <analyzer>` comment is
 // suppressed — used by rt's sanctioned reply-handoff store.
@@ -60,6 +63,8 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	// Borrowed is Package.Borrowed.
+	Borrowed map[string][]BorrowDirective
 
 	diags *[]Diagnostic
 	// allow maps "file:line" to the set of analyzer names suppressed on
@@ -125,6 +130,11 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+	// Borrowed holds, by import path, the //flick:borrowed directives
+	// of the packages loaded in the same run (Load fills it in), so
+	// arenalife can check an implementation against a generated server
+	// interface that lives in another package.
+	Borrowed map[string][]BorrowDirective
 }
 
 // Analyze runs the analyzers over the package and returns their
@@ -139,6 +149,7 @@ func Analyze(p *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:    p.Files,
 			Pkg:      p.Pkg,
 			Info:     p.Info,
+			Borrowed: p.Borrowed,
 			diags:    &diags,
 			allow:    allow,
 		}

@@ -82,6 +82,15 @@ func Load(patterns []string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
+	borrowed := map[string][]BorrowDirective{}
+	for _, p := range pkgs {
+		if dirs := BorrowDirectives(p.Files); len(dirs) > 0 {
+			borrowed[p.Pkg.Path()] = dirs
+		}
+	}
+	for _, p := range pkgs {
+		p.Borrowed = borrowed
+	}
 	return pkgs, nil
 }
 

@@ -116,13 +116,23 @@ func groupPass(ops []Op, threshold int, dir Dir, st *Stats) []Op {
 	var out []Op
 	var run []Op
 	runBytes := 0
+	// dyn is the dynamic check emitted just ahead of the current run
+	// (marshal only; the run begins with its bulk). Checks do not add
+	// up — a Grow(k) after GrowDyn(n) tests max(n, k) bytes where n+k
+	// are written — so the run's bytes fold into dyn's base instead of
+	// getting a check of their own: one check, and it is the sum.
+	var dyn *EnsureDyn
 	flush := func() {
-		if runBytes > 0 {
+		switch {
+		case runBytes == 0:
+		case dyn != nil:
+			dyn.Base += runBytes
+		default:
 			st.SpaceChecksAfter++
 			out = append(out, &Ensure{Bytes: runBytes})
 		}
 		out = append(out, run...)
-		run, runBytes = nil, 0
+		run, runBytes, dyn = nil, 0, nil
 	}
 	for i := 0; i < len(ops); i++ {
 		switch op := ops[i].(type) {
@@ -167,6 +177,10 @@ func groupPass(ops []Op, threshold int, dir Dir, st *Stats) []Op {
 			}
 			flush()
 			st.SpaceChecksAfter++
+			if !exact {
+				folded := *op
+				op, dyn = &folded, &folded
+			}
 			out = append(out, op)
 		case *Loop:
 			op.Body = groupPass(op.Body, threshold, dir, st)

@@ -47,7 +47,10 @@ func (c crossConfig) String() string {
 // subset of -disable x -zerocopy into one throwaway main package, and
 // runs it: for each configuration the generated request stubs must match
 // the interpretive oracle (internal/interp) byte for byte and decode its
-// bytes back to the value; the slab-planned reply must round-trip; every
+// bytes back to the value — on zero-capacity encoders, and for the
+// string-then-scalar Rec at every string length from 0 to 130, so a
+// space check that does not cover what is written overruns the buffer;
+// the slab-planned reply must round-trip; every
 // truncation and every hostile length word must end in an error, without
 // a panic and without allocating more than a small multiple of the
 // message. The storage plan changes which allocation backs a decoded
@@ -103,7 +106,7 @@ func TestSlabCrossProduct(t *testing.T) {
 		}
 		s := c.suffix()
 		fmt.Fprintf(&table, "\t{%q, %q,\n", c.String(), c.format)
-		for _, op := range []string{"PutNames", "PutLines", "PutDoc", "PutDocs", "PutMixed", "PutKey"} {
+		for _, op := range []string{"PutNames", "PutLines", "PutDoc", "PutDocs", "PutMixed", "PutKey", "PutRec"} {
 			fmt.Fprintf(&table, "\t\tMarshalSlab%s%sRequest, UnmarshalSlab%s%sRequest,\n", op, s, op, s)
 		}
 		fmt.Fprintf(&table, "\t\tMarshalSlabList%sReply, UnmarshalSlabList%sReply},\n", s, s)
@@ -159,6 +162,8 @@ type config struct {
 	uMixed func(*rt.Decoder) (Mixed, error)
 	mKey   func(*rt.Encoder, string)
 	uKey   func(*rt.Decoder) (string, error)
+	mRec   func(*rt.Encoder, *Rec)
+	uRec   func(*rt.Decoder) (Rec, error)
 	mList  func(*rt.Encoder, []Doc, int32)
 	uList  func(*rt.Decoder) ([]Doc, int32, error)
 }
@@ -264,11 +269,6 @@ func check[T any](c config, m *interp.Marshaler, node *pres.Node, op string, see
 		v := gen(r)
 		where := fmt.Sprintf("%s %s #%d", c.name, op, round)
 		var stub, oracle rt.Encoder
-		// Room up front: an unbounded string followed by a scalar
-		// marshals as GrowDyn(n); Grow(k), which reserves max(n, k)
-		// rather than n+k and overruns a buffer that is exactly full
-		// (ROADMAP item 1; not this test's subject).
-		stub.Grow(4096)
 		marshal(&stub, v)
 		if err := m.Marshal(&oracle, node, v); err != nil {
 			failf("%s: oracle marshal: %v", where, err)
@@ -326,6 +326,19 @@ func main() {
 		check(c, m, node["put_mixed"], "put_mixed", seed, mixed,
 			func(e *rt.Encoder, v Mixed) { c.mMixed(e, &v) }, c.uMixed)
 		check(c, m, node["put_key"], "put_key", seed, func(r *rand.Rand) string { return text(r, 40) }, c.mKey, c.uKey)
+		// Every string length around the encoder's first two capacity
+		// steps (64 and 128 bytes), each on a fresh encoder.
+		for n := 0; n <= 130 && failures == 0; n++ {
+			v := Rec{S: string(bytes.Repeat([]byte{'s'}, n)), X: int32(n)}
+			var stub, oracle rt.Encoder
+			c.mRec(&stub, &v)
+			if err := m.Marshal(&oracle, node["put_rec"], v); err != nil || !bytes.Equal(stub.Bytes(), oracle.Bytes()) {
+				failf("%s put_rec len %d: err=%v\n stub   %x\n oracle %x", c.name, n, err, stub.Bytes(), oracle.Bytes())
+			}
+			if got, err := c.uRec(rt.NewDecoder(stub.Bytes())); err != nil || got != v {
+				failf("%s put_rec len %d: decode: %v", c.name, n, err)
+			}
+		}
 
 		// The reply (status word + result + out parameter) has no
 		// oracle entry point: round-trip it.
@@ -333,7 +346,6 @@ func main() {
 		for round := 0; round < 4; round++ {
 			want, total := docs(r), r.Int31()
 			var e rt.Encoder
-			e.Grow(4096) // as in check
 			c.mList(&e, want, total)
 			msg := append([]byte(nil), e.Bytes()...)
 			got, gotTotal, err := c.uList(rt.NewDecoder(msg))

@@ -70,7 +70,6 @@ func TestSlabShapesAllocate(t *testing.T) {
 			func(d *rt.Decoder) error { _, err := UnmarshalSlabPutKeyXDRRequest(d); return err }, 1},
 	} {
 		var e rt.Encoder
-		e.Grow(4096) // see ROADMAP item 1: GrowDyn(n); Grow(k) under-reserves on an exactly full buffer
 		tc.marshal(&e)
 		if got := allocs(e.Bytes(), tc.decode); got != tc.want {
 			t.Errorf("%s: %.0f allocations per decode, want %.0f", tc.name, got, tc.want)
@@ -79,10 +78,37 @@ func TestSlabShapesAllocate(t *testing.T) {
 
 	// And the values are the values.
 	var e rt.Encoder
-	e.Grow(4096)
 	MarshalSlabListXDRReply(&e, docs, 99)
 	got, total, err := UnmarshalSlabListXDRReply(rt.NewDecoder(e.Bytes()))
 	if err != nil || total != 99 || !reflect.DeepEqual(got, docs) {
 		t.Errorf("list reply round trip: err %v total %d", err, total)
+	}
+}
+
+// TestRecMarshalSpaceCheck pins the marshal-side space check of a
+// string followed by a scalar in the committed emissions: a fresh
+// encoder starts with no capacity and grows 64, 128, ... bytes, so a
+// check that covers less than what is written (GrowDyn(n); Grow(k)
+// reserved max(n, k), not n+k) overruns it at the lengths that fill a
+// step exactly.
+func TestRecMarshalSpaceCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		marshal func(*rt.Encoder, *Rec)
+		decode  func(*rt.Decoder) (Rec, error)
+	}{
+		{"xdr", MarshalSlabPutRecXDRRequest, UnmarshalSlabPutRecXDRRequest},
+		{"cdr-le", MarshalSlabPutRecCDRRequest, UnmarshalSlabPutRecCDRRequest},
+		{"xdr-nomemcpy", MarshalSlabPutRecNoMemcpyRequest, UnmarshalSlabPutRecNoMemcpyRequest},
+		{"xdr-zerocopy", MarshalSlabPutRecZCRequest, UnmarshalSlabPutRecZCRequest},
+	} {
+		for n := 0; n <= 130; n++ {
+			want := Rec{S: strings.Repeat("s", n), X: int32(n)}
+			var e rt.Encoder
+			tc.marshal(&e, &want)
+			if got, err := tc.decode(rt.NewDecoder(e.Bytes())); err != nil || got != want {
+				t.Fatalf("%s, %d-byte string: round trip = %+v, %v", tc.name, n, got, err)
+			}
+		}
 	}
 }

@@ -77,22 +77,36 @@ func (v *mirVerifier) failf(path, format string, args ...any) {
 // --- space accounting -------------------------------------------------------
 
 // space tracks the bytes guaranteed available by dominating
-// ensure-space checks: a static budget from Ensure ops plus pending
-// dynamic credits from EnsureDyn ops, keyed by the counted value they
-// provision.
+// ensure-space checks. A check guarantees an amount *at the point it
+// runs* — checks do not add up: Grow(k) after GrowDyn(n) tests that
+// max(n, k) bytes fit, not n+k — so the model is a lower bound, not a
+// ledger: a static budget, plus at most one pending dynamic credit (the
+// counted value the last EnsureDyn provisioned, still unwritten).
 type space struct {
 	budget int
-	// dyn marks values provisioned by a preceding EnsureDyn.
-	dyn map[string]bool
+	// dyn names the value provisioned by the last EnsureDyn, "" when
+	// none is pending.
+	dyn string
 }
 
-func (s *space) credit(n int) { s.budget += n }
-
-func (s *space) creditDyn(val string) {
-	if s.dyn == nil {
-		s.dyn = map[string]bool{}
+// ensure applies a static check: n bytes fit now. That says nothing
+// beyond what earlier checks already guaranteed unless n is larger, and
+// it cannot be added to a pending dynamic credit — with D dynamic bytes
+// pending the check only proves max(budget+D, n), which for unknown D
+// is no more than n with the credit forfeited.
+func (s *space) ensure(n int) {
+	if n > s.budget {
+		s.budget = n
 	}
-	s.dyn[val] = true
+	s.dyn = ""
+}
+
+// ensureDyn applies a dynamic check: base bytes plus the payload of val
+// fit now. Static budget left over from earlier checks is forfeited (it
+// may be smaller than the payload about to be written under it), and so
+// is an earlier pending credit.
+func (s *space) ensureDyn(base int, val string) {
+	s.budget, s.dyn = base, val
 }
 
 // debit consumes n bytes of static budget; ok=false when the budget
@@ -105,22 +119,9 @@ func (s *space) debit(n int) bool {
 	return true
 }
 
-// clone copies the budget for branching control flow (switch arms draw
-// on the same dominating check independently — only one arm executes).
-func (s space) clone() space {
-	c := space{budget: s.budget}
-	if len(s.dyn) > 0 {
-		c.dyn = make(map[string]bool, len(s.dyn))
-		for k := range s.dyn {
-			c.dyn[k] = true
-		}
-	}
-	return c
-}
-
 func (s *space) takeDyn(val string) bool {
-	if s.dyn[val] {
-		delete(s.dyn, val)
+	if s.dyn != "" && s.dyn == val {
+		s.dyn = ""
 		return true
 	}
 	return false
@@ -205,15 +206,14 @@ func (v *mirVerifier) verifyOps(ops []mir.Op, path string, sp space, cur cursor,
 			if op.Bytes < 0 {
 				v.failf(p, "ensure of negative size %d", op.Bytes)
 			}
-			sp.credit(op.Bytes)
+			sp.ensure(op.Bytes)
 
 		case *mir.EnsureDyn:
 			if op.Count == nil {
 				v.failf(p, "dynamic ensure with no counted value")
 				continue
 			}
-			sp.credit(op.Base)
-			sp.creditDyn(op.Count.String())
+			sp.ensureDyn(op.Base, op.Count.String())
 
 		case *mir.Align:
 			if op.N <= 1 {
@@ -658,7 +658,7 @@ func (v *mirVerifier) checkSwitch(op *mir.Switch, sp *space, cur *cursor, path s
 		if op.HasDefault && i == len(arms)-1 {
 			label = path + ".default"
 		}
-		v.verifyOps(body, label, sp.clone(), *cur, elem)
+		v.verifyOps(body, label, *sp, *cur, elem)
 	}
 	if absorbable {
 		if maxNeed > 0 && !sp.debit(maxNeed) {

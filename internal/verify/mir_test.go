@@ -180,6 +180,47 @@ func TestMIRDynamicBulkWithEnsureDyn(t *testing.T) {
 	}
 }
 
+// Space checks do not add up: each guarantees an amount at the point it
+// runs. GrowDyn(n) followed by Grow(4) tests max(n, 4) bytes; a string
+// and a scalar written under the pair overrun by the smaller of the two
+// (the Rec shape of internal/slabstubs, which panicked at 57-60 bytes).
+func TestMIRChecksDoNotAddUp(t *testing.T) {
+	val := &mir.Param{Name: "s"}
+	tail := []mir.Op{
+		&mir.Bulk{Val: val, Atom: wire.Char, ElemWire: 1, Count: -1},
+		&mir.Item{Atom: wire.U32, Wire: 4, Val: &mir.Param{Name: "x"}},
+	}
+	split := prog(mir.Marshal, mir.UnboundedSize, 0, append([]mir.Op{
+		&mir.EnsureDyn{Base: 0, PerElem: 1, Count: val},
+		&mir.Ensure{Bytes: 4},
+	}, tail...)...)
+	wantFinding(t, MIR(split, xdr(), "t", On, nil), "MIR", "dynamic bulk transfer of s not dominated by an ensure-space check")
+
+	// The other order forfeits what the static check had left.
+	stale := prog(mir.Marshal, mir.UnboundedSize, 0, append([]mir.Op{
+		&mir.Ensure{Bytes: 4},
+		&mir.EnsureDyn{Base: 0, PerElem: 1, Count: val},
+	}, tail...)...)
+	wantFinding(t, MIR(stale, xdr(), "t", On, nil), "MIR", "t.ops[3]", "4-byte transfer not dominated by an ensure-space check")
+
+	// One check for the sum is what covers both.
+	folded := prog(mir.Marshal, mir.UnboundedSize, 0, append([]mir.Op{
+		&mir.EnsureDyn{Base: 4, PerElem: 1, Count: val},
+	}, tail...)...)
+	if fs := MIR(folded, xdr(), "t", On, nil); len(fs) != 0 {
+		t.Fatalf("folded check rejected:\n%s", fs.Error())
+	}
+
+	// And two static checks guarantee the larger, not the total.
+	twice := prog(mir.Marshal, mir.FixedSize, 8,
+		&mir.Ensure{Bytes: 4},
+		&mir.Ensure{Bytes: 4},
+		&mir.Item{Atom: wire.U32, Wire: 4, Val: &mir.Param{Name: "a"}},
+		&mir.Item{Atom: wire.U32, Wire: 4, Val: &mir.Param{Name: "b"}},
+	)
+	wantFinding(t, MIR(twice, xdr(), "t", On, nil), "MIR", "t.ops[3]", "not dominated by an ensure-space check")
+}
+
 func TestMIRClassifyFixedWithDynamicOps(t *testing.T) {
 	val := &mir.Param{Name: "s"}
 	p := prog(mir.Marshal, mir.FixedSize, 8,

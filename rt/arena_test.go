@@ -2,6 +2,7 @@ package rt
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -23,11 +24,29 @@ func resetBigClass(t *testing.T) {
 	t.Cleanup(reset)
 }
 
+// The retention tests below speak in buffers; these three helpers map a
+// buffer to the lease it was drawn under.
+
+var drawn sync.Map // &buf[:1][0] -> *Lease
+
+func getArenaBuf(n int) []byte {
+	l := getLease(n)
+	drawn.Store(&l.buf[:1][0], l)
+	return l.buf
+}
+
+func leaseOf(b []byte) *Lease {
+	l, _ := drawn.LoadAndDelete(&b[:1][0])
+	return l.(*Lease)
+}
+
+func putArenaBuf(b []byte) { leaseOf(b).Release() }
+
 // releaseArena settles b the way a reply's life ends: bound to a pooled
 // decoder, optionally viewed through AliasNext, released.
 func releaseArena(b []byte, alias bool) {
 	d := getDecoder()
-	d.ResetArena(b)
+	d.resetLease(b, leaseOf(b))
 	if alias {
 		d.AliasNext(8)
 	}

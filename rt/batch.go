@@ -89,11 +89,12 @@ type lazySender interface {
 	SendLazy(msg []byte) error
 }
 
-// batchMsg is one queued message; lazy marks oneway traffic that never
-// cuts a linger short.
+// batchMsg is one queued message, staged in a receive-arena buffer the
+// writer sends home once the frame carrying it is out; lazy marks oneway
+// traffic that never cuts a linger short.
 type batchMsg struct {
-	buf  []byte
-	lazy bool
+	stage *Lease
+	lazy  bool
 }
 
 // BatchConn wraps a Conn with adaptive call batching in both
@@ -103,8 +104,9 @@ type batchMsg struct {
 // server, whose frame reader also unpacks natively).
 //
 // Send keeps the Conn contract — safe for concurrent use, caller may
-// reuse the buffer — by copying each message into the queue. Recv keeps
-// the single-reader contract. Close tears down the writer; messages
+// reuse the buffer — by copying each message into the queue (through
+// recycled staging, so a steady-state Send allocates nothing). Recv
+// keeps the single-reader contract. Close tears down the writer; messages
 // still queued are dropped, exactly as bytes buffered in a kernel
 // socket are on close.
 type BatchConn struct {
@@ -120,9 +122,12 @@ type BatchConn struct {
 	// return it instead of silently queueing onto a dead writer.
 	sendErr atomic.Value // error
 
-	// recvq holds unpacked messages from the last received batch frame
+	// recvq holds the not yet delivered messages of the last received
+	// batch frame, a window of the reused splitter scratch parts; each
+	// is delivered with one reference on recvLease, the frame's lease
 	// (single-reader: no lock needed).
-	recvq [][]byte
+	recvq, parts [][]byte
+	recvLease    *Lease
 }
 
 // NewBatchConn wraps inner with a coalescing writer.
@@ -156,38 +161,44 @@ func (b *BatchConn) send(msg []byte, lazy bool) error {
 		return e.(error)
 	}
 	// The caller may reuse its buffer after Send returns: copy.
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
+	stage := getLease(len(msg))
+	copy(stage.buf, msg)
 	select {
-	case b.sendq <- batchMsg{cp, lazy}:
+	case b.sendq <- batchMsg{stage, lazy}:
 		return nil
 	case <-b.done:
+		stage.Release()
 		return ErrClosed
 	}
 }
 
 // Recv returns the next message, unpacking batch frames from the peer.
-func (b *BatchConn) Recv() ([]byte, error) {
-	if len(b.recvq) > 0 {
-		m := b.recvq[0]
-		b.recvq = b.recvq[1:]
-		return m, nil
-	}
-	for {
-		msg, err := b.inner.Recv()
+func (b *BatchConn) Recv() ([]byte, error) { return recvEscaped(b) }
+
+// RecvLease is Recv forwarding the inner conn's lease (see
+// LeaseReceiver). The parts of a batch frame share the frame's buffer:
+// the lease is retained once per part, so the frame recycles when the
+// last part's reader releases it.
+func (b *BatchConn) RecvLease() ([]byte, *Lease, error) {
+	if len(b.recvq) == 0 {
+		msg, lease, err := RecvLease(b.inner)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		parts, ok := SplitBatch(msg)
-		if !ok {
-			return msg, nil
+		var ok bool
+		if b.parts, ok = appendBatchParts(b.parts, msg); !ok {
+			return msg, lease, nil
 		}
 		if m := b.cfg.Metrics; m != nil {
-			m.BatchedCalls.Add(uint64(len(parts)))
+			m.BatchedCalls.Add(uint64(len(b.parts)))
 		}
-		b.recvq = parts[1:]
-		return parts[0], nil
+		lease.retain(len(b.parts) - 1)
+		b.recvq, b.recvLease = b.parts, lease
 	}
+	m := b.recvq[0]
+	b.recvq[0] = nil
+	b.recvq = b.recvq[1:]
+	return m, b.recvLease, nil
 }
 
 // Close stops the writer and closes the wrapped conn. Idempotent.
@@ -222,7 +233,7 @@ func (b *BatchConn) writer() {
 			return
 		}
 		pending = append(pending[:0], first)
-		bytes := len(first.buf)
+		bytes := len(first.stage.buf)
 		eager := !first.lazy
 		reason := flushIdle
 
@@ -240,7 +251,7 @@ func (b *BatchConn) writer() {
 			select {
 			case m := <-b.sendq:
 				pending = append(pending, m)
-				bytes += len(m.buf)
+				bytes += len(m.stage.buf)
 				eager = eager || !m.lazy
 			default:
 				// Queue drained. With no linger, or with an eager
@@ -252,7 +263,7 @@ func (b *BatchConn) writer() {
 				select {
 				case m := <-b.sendq:
 					pending = append(pending, m)
-					bytes += len(m.buf)
+					bytes += len(m.stage.buf)
 					eager = eager || !m.lazy
 				case <-deadline:
 					deadline = nil
@@ -271,9 +282,6 @@ func (b *BatchConn) writer() {
 			<-timer.C
 		}
 		frame = b.emit(pending, frame, reason)
-		for i := range pending {
-			pending[i].buf = nil // release message copies to the GC
-		}
 	}
 }
 
@@ -290,14 +298,15 @@ func flushCause(reason int) string {
 	return "flush-close"
 }
 
-// emit sends the pending messages as one frame and records the flush.
-// It returns the (possibly grown) reusable envelope buffer.
+// emit sends the pending messages as one frame, sends their staging
+// buffers home, and records the flush. It returns the (possibly grown)
+// reusable envelope buffer.
 func (b *BatchConn) emit(pending []batchMsg, frame []byte, reason int) []byte {
 	var err error
 	if len(pending) == 1 {
 		// Single message: ship it unwrapped — at low load batching must
 		// cost nothing, neither latency nor envelope bytes.
-		err = b.inner.Send(pending[0].buf)
+		err = b.inner.Send(pending[0].stage.buf)
 	} else {
 		var begin time.Time
 		tracer := b.cfg.Tracer
@@ -306,7 +315,7 @@ func (b *BatchConn) emit(pending []batchMsg, frame []byte, reason int) []byte {
 		}
 		frame = appendBatchStart(frame[:0], len(pending))
 		for _, m := range pending {
-			frame = appendBatch(frame, m.buf)
+			frame = appendBatch(frame, m.stage.buf)
 		}
 		err = b.inner.Send(frame)
 		if tracer != nil {
@@ -345,6 +354,10 @@ func (b *BatchConn) emit(pending []batchMsg, frame []byte, reason int) []byte {
 	}
 	if err != nil && b.sendErr.Load() == nil {
 		b.sendErr.Store(err)
+	}
+	for i := range pending {
+		pending[i].stage.Release()
+		pending[i].stage = nil
 	}
 	return frame
 }

@@ -34,33 +34,40 @@ func WrapChecksum(inner Conn) *ChecksumConn {
 	return &ChecksumConn{inner: inner}
 }
 
-// Send transmits msg followed by its 4-byte CRC32-C.
+// Send transmits msg followed by its 4-byte CRC32-C. The frame is
+// staged in a receive-arena buffer that goes home when the inner Send
+// returns, so a steady-state Send allocates nothing.
 func (c *ChecksumConn) Send(msg []byte) error {
-	out := make([]byte, len(msg)+4)
+	stage := getLease(len(msg) + 4)
+	out := stage.buf
 	copy(out, msg)
 	binary.BigEndian.PutUint32(out[len(msg):], crc32.Checksum(msg, crcTable))
-	return c.inner.Send(out)
+	err := c.inner.Send(out)
+	stage.Release()
+	return err
 }
 
 // Recv returns the next frame whose trailer verifies, stripped of the
 // trailer. Damaged frames are counted in Rejected and skipped.
-func (c *ChecksumConn) Recv() ([]byte, error) {
+func (c *ChecksumConn) Recv() ([]byte, error) { return recvEscaped(c) }
+
+// RecvLease is Recv forwarding the inner conn's lease (see
+// LeaseReceiver); a rejected frame's buffer goes straight home.
+func (c *ChecksumConn) RecvLease() ([]byte, *Lease, error) {
 	for {
-		msg, err := c.inner.Recv()
+		msg, lease, err := RecvLease(c.inner)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if len(msg) < 4 {
-			c.Rejected.Add(1)
-			continue
+		if len(msg) >= 4 {
+			body := msg[:len(msg)-4]
+			want := binary.BigEndian.Uint32(msg[len(msg)-4:])
+			if crc32.Checksum(body, crcTable) == want {
+				return body, lease, nil
+			}
 		}
-		body := msg[:len(msg)-4]
-		want := binary.BigEndian.Uint32(msg[len(msg)-4:])
-		if crc32.Checksum(body, crcTable) != want {
-			c.Rejected.Add(1)
-			continue
-		}
-		return body, nil
+		c.Rejected.Add(1)
+		lease.Release()
 	}
 }
 

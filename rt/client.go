@@ -85,9 +85,6 @@ func (r *retiredRing) has(xid uint32) bool {
 // the call slot afterwards.
 type session struct {
 	conn Conn
-	// ownsArena caches ownsArena(conn): reply buffers from a raw
-	// transport transfer to the pooled decoder for arena recycling.
-	ownsArena bool
 
 	mu      sync.Mutex
 	pending map[uint32]*call
@@ -109,7 +106,7 @@ type session struct {
 }
 
 func newSession(conn Conn) *session {
-	return &session{conn: conn, ownsArena: ownsArena(conn), pending: make(map[uint32]*call), streams: make(map[uint32]*ClientStream)}
+	return &session{conn: conn, pending: make(map[uint32]*call), streams: make(map[uint32]*ClientStream)}
 }
 
 // forget removes xid from the in-flight table, retiring it so a late or
@@ -980,7 +977,11 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 func (c *Client) readReplies(s *session) {
 	metrics := c.Metrics
 	for {
-		msg, err := s.conn.Recv()
+		// The lease on the frame's receive buffer travels with it: a
+		// decoder takes it over (its Release recycles the buffer, or pins
+		// it if the stub aliased views out of it), or it is released
+		// here when the frame dies first.
+		msg, lease, err := RecvLease(s.conn)
 		if err != nil {
 			if c.closed.Load() {
 				s.fail(ErrClosed)
@@ -998,11 +999,12 @@ func (c *Client) readReplies(s *session) {
 					metrics.GoAways.Add(1)
 				}
 				_ = arg // drain-deadline hint; advisory
+				lease.Release()
 				continue
 			}
 			// A stream frame (chunk, end, err): structurally tagged, so
 			// it routes around the reply parser entirely (stream.go).
-			c.streamFrame(s, kind, sxid, arg, payload)
+			c.streamFrame(s, kind, sxid, arg, payload, lease)
 			continue
 		}
 		d := getDecoder()
@@ -1010,14 +1012,7 @@ func (c *Client) readReplies(s *session) {
 			d.EnableStats(true)
 			d.sink = metrics
 		}
-		if s.ownsArena {
-			// The raw transport drew msg from the receive arena; hand
-			// ownership to the decoder so Release recycles it (or pins
-			// it if the stub aliased views out of it).
-			d.ResetArena(msg)
-		} else {
-			d.Reset(msg)
-		}
+		d.resetLease(msg, lease)
 		rh, err := c.proto.ReadReply(d)
 		if err != nil {
 			// The reply header did not parse: nothing identifies the

@@ -46,10 +46,12 @@ type Decoder struct {
 	// the registry that observed the call.
 	pooled bool
 	sink   *Metrics
-	// arena, when non-nil, is the pooled receive buffer backing buf
-	// (see arena.go); aliased records that AliasNext handed out a view
-	// into it, which pins the arena at Release instead of recycling it.
-	arena   []byte
+	// lease, when non-nil, is this reader's reference on the receive
+	// buffer backing buf (see arena.go); aliased records that AliasNext
+	// handed out a view into it whose borrow has not been ended, which
+	// makes the release an escaped one: the buffer is pinned, not
+	// recycled.
+	lease   *Lease
 	aliased bool
 	// slab is the message's parameter storage (see Slab): len is what
 	// has been carved so far, cap what was provisioned. Strings and
@@ -108,41 +110,54 @@ func NewDecoder(payload []byte) *Decoder {
 	return &Decoder{buf: payload, lim: len(payload)}
 }
 
-// Reset rebinds the decoder to a new payload. Any arena binding is
-// dropped without recycling (the caller kept ownership of the old
-// buffer); use ResetArena to transfer buffer ownership to the decoder.
+// Reset rebinds the decoder to a new payload. Any lease is dropped
+// without being released (the runtime releases it first, in Release);
+// the runtime binds received messages with resetLease.
 func (d *Decoder) Reset(payload []byte) {
 	d.buf = payload
 	d.pos = 0
 	d.err = nil
-	d.arena = nil
+	d.lease = nil
 	d.aliased = false
 	d.slab = nil
 	d.relim()
 }
 
-// ResetArena rebinds the decoder to a payload drawn from the receive
-// arena, transferring ownership: when the decoder is released with no
-// alias views outstanding, the buffer re-enters the arena pool; if
-// AliasNext handed out views, the buffer is pinned for the garbage
-// collector instead (an escaped view must never see recycled bytes).
-func (d *Decoder) ResetArena(payload []byte) {
+// resetLease rebinds the decoder to a payload inside l's buffer, taking
+// over one reference: Release gives it back, recycling the buffer if it
+// was the last one — or pinning it for the garbage collector if
+// AliasNext handed out views whose borrow nobody ended (an escaped view
+// must never see recycled bytes). payload may be any window of the
+// buffer: a batch part, or a message past its stripped annotations.
+func (d *Decoder) resetLease(payload []byte, l *Lease) {
 	d.Reset(payload)
-	d.arena = payload
+	d.lease = l
 }
 
 // AliasNext is Next plus a borrow note: the returned window aliases
-// the receive arena, so the decoder pins its buffer at Release if the
-// view might still be live. Generated -zerocopy stubs call it for
-// prover-approved byte regions; the arenalife analyzer checks that
-// such views do not escape their borrow.
+// the receive buffer, so unless EndBorrow declares the view returned
+// the decoder's Release pins the buffer instead of recycling it.
+// Generated -zerocopy stubs call it for prover-approved byte regions;
+// the arenalife analyzer checks that such views do not outlive their
+// borrow.
 func (d *Decoder) AliasNext(n int) []byte {
-	if d.arena != nil {
+	if d.lease != nil {
 		d.aliased = true
 		zcCounters.aliasViews.Add(1)
 	}
 	return d.Next(n)
 }
+
+// EndBorrow declares every view AliasNext handed out returned: nothing
+// reads them from here on, so Release may recycle the receive buffer.
+// Generated -zerocopy server skeletons call it once the work function
+// has returned and the reply is marshaled — the paper's (and CORBA's)
+// rule that an `in` argument is valid until the work function returns;
+// an implementation that wants the bytes longer copies them. Client
+// stubs never call it (a zero-copy result is handed to the application
+// with no scope), and neither does a dispatcher that cannot vouch for
+// its handler: both keep the pin.
+func (d *Decoder) EndBorrow() { d.aliased = false }
 
 // Err returns the sticky error, if any.
 func (d *Decoder) Err() error { return d.err }

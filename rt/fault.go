@@ -104,9 +104,16 @@ type FaultConn struct {
 	// heldSend is a Send-side reordered message awaiting the next Send.
 	heldSend []byte
 	// heldRecv is a Recv-side message (reordered dup or held reorder)
-	// to deliver on the next Recv.
-	heldRecv [][]byte
+	// to deliver on the next Recv, with the reference on its receive
+	// buffer that delivery hands over.
+	heldRecv []heldMsg
 	closed   atomic.Bool
+}
+
+// heldMsg is one received message waiting in a FaultConn, with its lease.
+type heldMsg struct {
+	msg   []byte
+	lease *Lease
 }
 
 // NewFaultConn wraps inner with a seeded fault plan. It returns an
@@ -238,20 +245,26 @@ func (f *FaultConn) Send(msg []byte) error {
 }
 
 // Recv returns the next message from the peer, subject to the plan.
-func (f *FaultConn) Recv() ([]byte, error) {
+func (f *FaultConn) Recv() ([]byte, error) { return recvEscaped(f) }
+
+// RecvLease is Recv forwarding the inner conn's lease (see
+// LeaseReceiver): a duplicated message is retained once more, a dropped
+// or damaged one (the damage is done to a private copy) goes home.
+func (f *FaultConn) RecvLease() ([]byte, *Lease, error) {
 	for {
 		f.mu.Lock()
 		if len(f.heldRecv) > 0 {
-			msg := f.heldRecv[0]
+			h := f.heldRecv[0]
+			f.heldRecv[0] = heldMsg{}
 			f.heldRecv = f.heldRecv[1:]
 			f.mu.Unlock()
-			return msg, nil
+			return h.msg, h.lease, nil
 		}
 		f.mu.Unlock()
 
-		msg, err := f.inner.Recv()
+		msg, lease, err := RecvLease(f.inner)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 
 		f.mu.Lock()
@@ -261,12 +274,14 @@ func (f *FaultConn) Recv() ([]byte, error) {
 		case faultDrop:
 			f.Stats.Drops.Add(1)
 			f.mu.Unlock()
+			lease.Release()
 			continue
 		case faultDup:
 			f.Stats.Dups.Add(1)
-			f.heldRecv = append(f.heldRecv, msg)
+			lease.Retain()
+			f.heldRecv = append(f.heldRecv, heldMsg{msg, lease})
 			f.mu.Unlock()
-			return msg, nil
+			return msg, lease, nil
 		case faultReorder:
 			// Deliver the *next* message first, queueing this one behind
 			// it; if the link goes quiet instead the held message is
@@ -274,32 +289,36 @@ func (f *FaultConn) Recv() ([]byte, error) {
 			// message is not rolled again (one fault per message pair).
 			f.Stats.Reorders.Add(1)
 			f.mu.Unlock()
-			next, err := f.inner.Recv()
+			next, nextLease, err := RecvLease(f.inner)
 			if err != nil {
-				return msg, nil
+				return msg, lease, nil
 			}
 			f.mu.Lock()
-			f.heldRecv = append(f.heldRecv, msg)
+			f.heldRecv = append(f.heldRecv, heldMsg{msg, lease})
 			f.mu.Unlock()
-			return next, nil
+			return next, nextLease, nil
 		case faultCorrupt, faultTruncate:
+			// The damage is done to a private copy (an empty message has
+			// no bytes to keep): the original goes home.
 			msg = f.damage(f.recvRng, kind, msg)
 			f.mu.Unlock()
-			return msg, nil
+			lease.Release()
+			return msg, nil, nil
 		case faultReset:
 			f.Stats.Resets.Add(1)
 			f.mu.Unlock()
+			lease.Release()
 			f.Close()
-			return nil, ErrClosed
+			return nil, nil, ErrClosed
 		case faultDelay:
 			f.Stats.Delays.Add(1)
 			d := time.Duration(f.recvRng.Int63n(int64(f.plan.DelayMax)))
 			f.mu.Unlock()
 			time.Sleep(d)
-			return msg, nil
+			return msg, lease, nil
 		default:
 			f.mu.Unlock()
-			return msg, nil
+			return msg, lease, nil
 		}
 	}
 }

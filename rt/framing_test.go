@@ -91,12 +91,12 @@ func loopbackPair(t *testing.T) (dialed, accepted Conn) {
 // receive buffer, until c fails.
 func echoFrames(c Conn) {
 	for {
-		m, err := c.Recv()
+		m, lease, err := RecvLease(c)
 		if err != nil {
 			return
 		}
 		err = c.Send(m)
-		putArenaBuf(m)
+		lease.Release()
 		if err != nil {
 			return
 		}
@@ -120,11 +120,11 @@ func TestTCPFrameAllocs(t *testing.T) {
 			if err := a.Send(msg); err != nil {
 				t.Fatal(err)
 			}
-			got, err := a.Recv()
+			got, lease, err := RecvLease(a)
 			if err != nil || len(got) != n {
 				t.Fatalf("echo of %d bytes = %d bytes, %v", n, len(got), err)
 			}
-			putArenaBuf(got)
+			lease.Release()
 		})
 		if avg != 0 {
 			t.Errorf("Send+Recv of a %d-byte frame, both ends: %.1f allocs/op, want 0", n, avg)
@@ -181,11 +181,11 @@ func TestUDPRecvAllocs(t *testing.T) {
 		if err := c.Send(msg); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Recv()
+		got, lease, err := RecvLease(c)
 		if err != nil || !bytes.Equal(got, msg) {
 			t.Fatalf("udp echo = %d bytes, %v", len(got), err)
 		}
-		putArenaBuf(got)
+		lease.Release()
 	})
 	if avg != 0 {
 		t.Errorf("UDP Send+Recv, both ends: %.1f allocs/op, want 0", avg)
@@ -253,7 +253,7 @@ func TestRecvMultiFragment(t *testing.T) {
 			conn, _ := pipePeer(t, func(peer net.Conn) { peer.Write(tc.wire) })
 			conn.SetMaxMessage(tc.max)
 			before := ReadZeroCopyStats()
-			got, err := conn.Recv()
+			got, lease, err := conn.RecvLease()
 			if tc.errHas != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.errHas) {
 					t.Fatalf("Recv = %d bytes, %v; want an error containing %q", len(got), err, tc.errHas)
@@ -261,7 +261,7 @@ func TestRecvMultiFragment(t *testing.T) {
 			} else if err != nil || !bytes.Equal(got, tc.want) {
 				t.Fatalf("Recv = %d bytes, %v; want %d bytes", len(got), err, len(tc.want))
 			}
-			putArenaBuf(got)
+			lease.Release()
 			if d := ReadZeroCopyStats().Sub(before); d.ArenaGets == 0 || d.ArenaGets != d.ArenaPuts {
 				t.Errorf("arena gets = %d, puts = %d: want balanced", d.ArenaGets, d.ArenaPuts)
 			}
@@ -415,7 +415,7 @@ func TestTCPConcurrentSendersWholeFrames(t *testing.T) {
 	}
 	var seen [senders]int
 	for n := 0; n < senders*perSender; n++ {
-		m, err := b.Recv()
+		m, lease, err := RecvLease(b)
 		if err != nil {
 			t.Fatalf("frame %d: %v", n, err)
 		}
@@ -424,7 +424,7 @@ func TestTCPConcurrentSendersWholeFrames(t *testing.T) {
 			t.Fatalf("frame %d (sender %d, its #%d, %d bytes) is torn or interleaved", n, g, seen[g%senders], len(m))
 		}
 		seen[g]++
-		putArenaBuf(m)
+		lease.Release()
 	}
 	wg.Wait()
 }

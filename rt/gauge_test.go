@@ -207,8 +207,12 @@ func TestQueueDepthZeroAfterAdmissionReject(t *testing.T) {
 	close(block)
 	wg.Wait()
 	waitGaugeZero(t, "QueueDepth", sm, base, queueDepth)
-	if adm.Load() != 0 {
-		t.Errorf("admission load = %d after quiescence, want 0", adm.Load())
+	// The worker releases the admission weight after it has sent the
+	// reply that woke the caller above: poll, do not race it.
+	for deadline := time.Now().Add(2 * time.Second); adm.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission load = %d after quiescence, want 0", adm.Load())
+		}
 	}
 }
 

@@ -126,16 +126,11 @@ func putDecoder(d *Decoder) {
 	if d.stats {
 		d.EnableStats(false)
 	}
-	// Settle the arena borrow: recycle the receive buffer unless alias
-	// views were handed out, in which case it is pinned — the views own
-	// it now and the garbage collector reclaims it when they die.
-	if d.arena != nil {
-		if d.aliased {
-			pinArenaBuf(d.arena)
-		} else {
-			putArenaBuf(d.arena)
-		}
-	}
+	// Settle the borrow: this reader is done with the receive buffer,
+	// and alias views it handed out without ending their borrow have
+	// escaped (the last release then pins the buffer instead of
+	// recycling it).
+	d.lease.release(d.aliased)
 	d.Reset(nil)
 	decoderPool.Put(d)
 }

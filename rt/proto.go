@@ -583,30 +583,42 @@ func appendBatchStart(frame []byte, count int) []byte {
 // malformed envelopes (which the caller should treat as ordinary
 // messages and let the protocol header parse reject).
 func SplitBatch(msg []byte) ([][]byte, bool) {
-	if len(msg) < batchOverhead(1) || binary.BigEndian.Uint32(msg) != batchMagic {
+	parts, ok := appendBatchParts(nil, msg)
+	if !ok {
 		return nil, false
+	}
+	return parts, true
+}
+
+// appendBatchParts is SplitBatch into the caller's scratch: it returns
+// (parts[:0] + the envelope's parts, true), or (parts[:0], false), so a
+// receive loop that keeps the returned slice splits frame after frame
+// without allocating.
+func appendBatchParts(parts [][]byte, msg []byte) ([][]byte, bool) {
+	parts = parts[:0]
+	if len(msg) < batchOverhead(1) || binary.BigEndian.Uint32(msg) != batchMagic {
+		return parts, false
 	}
 	n := int(binary.BigEndian.Uint32(msg[4:]))
 	if n < 1 || n > MaxBatchMessages {
-		return nil, false
+		return parts, false
 	}
-	parts := make([][]byte, 0, n)
 	off := 8
 	for i := 0; i < n; i++ {
 		if off+4 > len(msg) {
-			return nil, false
+			return parts[:0], false
 		}
 		l := int(binary.BigEndian.Uint32(msg[off:]))
 		off += 4
 		if l > len(msg)-off {
-			return nil, false
+			return parts[:0], false
 		}
 		parts = append(parts, msg[off:off+l:off+l])
 		off += l
 	}
 	if off != len(msg) {
 		// Trailing bytes no length accounts for: not an envelope.
-		return nil, false
+		return parts[:0], false
 	}
 	return parts, true
 }

@@ -306,18 +306,16 @@ func (s *Server) ServeConn(conn Conn) error {
 		}()
 	}
 
-	// Raw transports draw Recv buffers from the receive arena; their
-	// whole-frame messages transfer to the request decoder for
-	// recycling. Batch parts never do: they are sub-slices of a shared
-	// frame, and recycling one would corrupt its siblings.
-	connArena := ownsArena(conn)
-
+	// parts is the batch splitter's scratch, reused across frames.
+	var parts [][]byte
 	var loopErr error
 	for {
 		if idle != nil {
 			idle.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		}
-		msg, err := conn.Recv()
+		// The lease on the frame's receive buffer travels with it: every
+		// path below hands it to acceptFrame or releases it.
+		msg, lease, err := RecvLease(conn)
 		if err != nil {
 			var ne net.Error
 			if idle != nil && errors.As(err, &ne) && ne.Timeout() {
@@ -340,24 +338,26 @@ func (s *Server) ServeConn(conn Conn) error {
 			if metrics != nil {
 				metrics.Oversized.Add(1)
 			}
+			lease.Release()
 			continue
 		}
-		if parts, ok := SplitBatch(msg); ok {
+		var ok bool
+		if parts, ok = appendBatchParts(parts, msg); ok {
 			// A batch frame from a coalescing client: unpack and admit
-			// each packed request independently, in order.
+			// each packed request independently, in order. Each part
+			// holds its own reference, so the frame recycles when the
+			// last part's decoder is released.
 			if metrics != nil {
 				metrics.BatchedCalls.Add(uint64(len(parts)))
 			}
+			lease.retain(len(parts) - 1)
 			for _, part := range parts {
-				s.acceptFrame(sc, part, nil)
+				s.acceptFrame(sc, part, lease)
 			}
+			clear(parts)
 			continue
 		}
-		var arena []byte
-		if connArena {
-			arena = msg
-		}
-		s.acceptFrame(sc, msg, arena)
+		s.acceptFrame(sc, msg, lease)
 	}
 
 	// Graceful drain: stop feeding, let the workers finish what is
@@ -378,10 +378,11 @@ func (s *Server) ServeConn(conn Conn) error {
 // acceptFrame processes one received request message — whether it
 // arrived as its own transport frame or packed inside a batch frame:
 // parse the header, suppress duplicates, pass admission control, and
-// hand the request to the worker pool. arena, when non-nil, is the
-// whole receive buffer backing msg, transferred to the request decoder
-// so its release recycles (or pins) the buffer.
-func (s *Server) acceptFrame(sc *servingConn, msg, arena []byte) {
+// hand the request to the worker pool. lease is the caller's reference
+// on the receive buffer backing msg (nil when the conn has none to
+// give); it passes to the request decoder, whose release gives it back,
+// or is released here when the frame dies first.
+func (s *Server) acceptFrame(sc *servingConn, msg []byte, lease *Lease) {
 	metrics := sc.metrics
 	if kind, sxid, arg, _, ok := SplitStream(msg); ok {
 		// Upstream control frames from the client: stream credit and
@@ -400,6 +401,7 @@ func (s *Server) acceptFrame(sc *servingConn, msg, arena []byte) {
 				metrics.CanceledCalls.Add(1)
 			}
 		}
+		lease.Release()
 		return
 	}
 	reqBytes := len(msg)
@@ -420,11 +422,7 @@ func (s *Server) acceptFrame(sc *servingConn, msg, arena []byte) {
 	if metrics != nil {
 		d.EnableStats(true)
 	}
-	d.Reset(msg)
-	// Bind the arena separately from the payload: SplitTrace may have
-	// advanced msg past the annotation, but the recyclable unit is the
-	// whole buffer the transport handed over.
-	d.arena = arena
+	d.resetLease(msg, lease)
 	h, err := s.proto.ReadRequest(d)
 	if err != nil {
 		// Malformed header: nothing identifies the caller, so no

@@ -449,11 +449,26 @@ func (st *ClientStream) deliverChunk(d *Decoder) {
 // streamFrame routes one structurally-valid stream frame arriving on a
 // client session. Unknown or retired XIDs are dropped (a cancelled
 // stream keeps receiving in-flight chunks for a while; that is benign,
-// not desynchronization).
-func (c *Client) streamFrame(s *session, kind, xid, arg uint32, payload []byte) {
+// not desynchronization). lease is the caller's reference on the
+// frame's receive buffer: a delivered chunk's decoder keeps it until the
+// consumer's Recv or Cancel hands the chunk back; every other frame
+// releases it here.
+func (c *Client) streamFrame(s *session, kind, xid, arg uint32, payload []byte, lease *Lease) {
 	metrics := c.Metrics
 	s.mu.Lock()
 	st, ok := s.streams[xid]
+	if ok && kind == streamChunk {
+		d := getDecoder()
+		if metrics != nil {
+			d.EnableStats(true)
+			d.sink = metrics
+		}
+		d.resetLease(payload, lease)
+		st.deliverChunk(d)
+		s.mu.Unlock()
+		return
+	}
+	lease.Release()
 	if !ok {
 		stale := s.retired.has(xid)
 		s.mu.Unlock()
@@ -463,15 +478,6 @@ func (c *Client) streamFrame(s *session, kind, xid, arg uint32, payload []byte) 
 		return
 	}
 	switch kind {
-	case streamChunk:
-		d := getDecoder()
-		if metrics != nil {
-			d.EnableStats(true)
-			d.sink = metrics
-		}
-		d.Reset(payload)
-		st.deliverChunk(d)
-		s.mu.Unlock()
 	case streamEnd:
 		delete(s.streams, xid)
 		s.retired.add(xid)

@@ -81,7 +81,14 @@ func DialTCP(addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpConn{c: c}, nil
+	return newTCPConn(c), nil
+}
+
+// newTCPConn wraps a dialed or accepted connection. A loopback one is
+// first taken off a pacing congestion controller (see unpaceLoopback).
+func newTCPConn(c net.Conn) *tcpConn {
+	unpaceLoopback(c)
+	return &tcpConn{c: c}
 }
 
 // Send writes the record mark and msg with one writev. Holding wmu for
@@ -127,7 +134,11 @@ func (t *tcpConn) SetMaxMessage(n int) { t.maxMsg = n }
 // SetReadDeadline bounds the next Recv (Server.IdleTimeout).
 func (t *tcpConn) SetReadDeadline(dl time.Time) error { return t.c.SetReadDeadline(dl) }
 
-func (t *tcpConn) Recv() ([]byte, error) {
+func (t *tcpConn) Recv() ([]byte, error) { return recvEscaped(t) }
+
+// RecvLease reads the next record into one receive-arena buffer and
+// returns it with its lease (see LeaseReceiver).
+func (t *tcpConn) RecvLease() ([]byte, *Lease, error) {
 	if t.rd == nil {
 		t.rd = bufio.NewReaderSize(t.c, readAhead)
 	}
@@ -136,8 +147,8 @@ func (t *tcpConn) Recv() ([]byte, error) {
 		max = defaultMaxMessage
 	}
 	// msg is nil until the first fragment draws it from the receive
-	// arena; every error return hands it back (putArenaBuf ignores nil).
-	var msg []byte
+	// arena; every error return hands it back (Release ignores nil).
+	var msg *Lease
 	for {
 		hdr, err := t.rd.Peek(4)
 		if err != nil {
@@ -145,57 +156,43 @@ func (t *tcpConn) Recv() ([]byte, error) {
 			if err == io.EOF && (len(hdr) > 0 || msg != nil) {
 				err = io.ErrUnexpectedEOF
 			}
-			putArenaBuf(msg)
-			return nil, err
+			msg.Release()
+			return nil, nil, err
 		}
 		mark := binary.BigEndian.Uint32(hdr)
-		n, off := int(mark&0x7FFFFFFF), len(msg)
+		n, off := int(mark&0x7FFFFFFF), 0
+		if msg != nil {
+			off = len(msg.buf)
+		}
 		// Validate the claimed length — including the running total
 		// across fragments — before drawing a buffer for, or consuming,
 		// a single body byte.
 		if n > max || off+n > max {
-			putArenaBuf(msg)
-			return nil, fmt.Errorf("rt: oversized record fragment (%d bytes, %d max)", off+n, max)
+			msg.Release()
+			return nil, nil, fmt.Errorf("rt: oversized record fragment (%d bytes, %d max)", off+n, max)
 		}
 		t.rd.Discard(4)
 		// The whole message is this conn's to give away, so it lives in
-		// one arena buffer — the decoder recycles it when no alias views
-		// escape. A continuation fragment extends it in place, moving to
-		// a larger buffer only when the capacity runs out.
-		switch {
-		case msg == nil:
-			msg = getArenaBuf(n)
-		case off+n <= cap(msg):
-			msg = msg[:off+n]
-		default:
-			grown := getArenaBuf(off + n)
-			copy(grown, msg)
-			putArenaBuf(msg)
-			msg = grown
-		}
+		// one arena buffer — its last reader's release recycles it. A
+		// continuation fragment extends it in place, moving to a larger
+		// buffer only when the capacity runs out.
+		msg = msg.grow(off + n)
 		// What read-ahead already holds is copied; the rest of a large
-		// body is read directly into msg.
-		if _, err := io.ReadFull(t.rd, msg[off:]); err != nil {
+		// body is read directly into the buffer.
+		if _, err := io.ReadFull(t.rd, msg.buf[off:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			putArenaBuf(msg)
-			return nil, err
+			msg.Release()
+			return nil, nil, err
 		}
 		if mark&0x80000000 != 0 {
-			return msg, nil
+			return msg.buf, msg, nil
 		}
 	}
 }
 
 func (t *tcpConn) Close() error { return t.c.Close() }
-
-// arenaOwned marks conns whose Recv buffers are whole-owned by the
-// receiver, making them safe to recycle through the arena pool.
-// Wrappers (checksum, fault, batch) deliberately do not implement it:
-// BatchConn in particular hands out sub-slices of a shared frame, and
-// recycling one message's backing array would corrupt its siblings.
-func (t *tcpConn) arenaOwned() {}
 
 type tcpListener struct{ l net.Listener }
 
@@ -213,7 +210,7 @@ func (t *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpConn{c: c}, nil
+	return newTCPConn(c), nil
 }
 
 func (t *tcpListener) Close() error { return t.l.Close() }
@@ -261,22 +258,22 @@ func (u *udpConn) Send(msg []byte) error {
 	return err
 }
 
-func (u *udpConn) Recv() ([]byte, error) {
+func (u *udpConn) Recv() ([]byte, error) { return recvEscaped(u) }
+
+// RecvLease copies the next datagram out of rbuf into a receive-arena
+// buffer of its own and returns it with its lease.
+func (u *udpConn) RecvLease() ([]byte, *Lease, error) {
 	n, peer, err := u.c.ReadFromUDPAddrPort(u.rbuf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !u.connected && !u.peer.IsValid() {
 		u.peer = peer
 	}
-	out := getArenaBuf(n)
-	copy(out, u.rbuf[:n])
-	return out, nil
+	out := getLease(n)
+	copy(out.buf, u.rbuf[:n])
+	return out.buf, out, nil
 }
-
-// arenaOwned: each datagram is copied out of rbuf into a fresh buffer
-// the receiver whole-owns.
-func (u *udpConn) arenaOwned() {}
 
 // SetReadDeadline bounds the next Recv (Server.IdleTimeout).
 func (u *udpConn) SetReadDeadline(dl time.Time) error { return u.c.SetReadDeadline(dl) }
@@ -303,8 +300,8 @@ func ListenUDP(addr string) (Conn, string, error) {
 // Fluke IPC: no network stack, messages pass by reference between
 // goroutines.
 type pipeConn struct {
-	send chan<- []byte
-	recv <-chan []byte
+	send chan<- *Lease
+	recv <-chan *Lease
 	// closing is shared by both ends: closing either (or both) ends
 	// tears the pair down exactly once.
 	closing *pipeClose
@@ -317,8 +314,8 @@ type pipeClose struct {
 
 // Pipe returns two connected in-process ports.
 func Pipe() (Conn, Conn) {
-	a2b := make(chan []byte, 16)
-	b2a := make(chan []byte, 16)
+	a2b := make(chan *Lease, 16)
+	b2a := make(chan *Lease, 16)
 	cl := &pipeClose{done: make(chan struct{})}
 	a := &pipeConn{send: a2b, recv: b2a, closing: cl}
 	b := &pipeConn{send: b2a, recv: a2b, closing: cl}
@@ -334,23 +331,27 @@ func (p *pipeConn) Send(msg []byte) error {
 	default:
 	}
 	// Messages pass by value (the caller reuses its buffer). The copy
-	// is the receiver's property, so it draws from the arena pool.
-	out := getArenaBuf(len(msg))
-	copy(out, msg)
+	// is the receiver's property, so it draws from the arena pool and
+	// crosses the channel under its lease.
+	out := getLease(len(msg))
+	copy(out.buf, msg)
 	select {
 	case p.send <- out:
 		return nil
 	case <-p.closing.done:
+		out.Release()
 		return ErrClosed
 	}
 }
 
-func (p *pipeConn) Recv() ([]byte, error) {
+func (p *pipeConn) Recv() ([]byte, error) { return recvEscaped(p) }
+
+func (p *pipeConn) RecvLease() ([]byte, *Lease, error) {
 	select {
 	case m := <-p.recv:
-		return m, nil
+		return m.buf, m, nil
 	case <-p.closing.done:
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 }
 
@@ -358,7 +359,3 @@ func (p *pipeConn) Close() error {
 	p.closing.once.Do(func() { close(p.closing.done) })
 	return nil
 }
-
-// arenaOwned: Send copies into a fresh buffer that becomes the
-// receiver's property once it crosses the channel.
-func (p *pipeConn) arenaOwned() {}

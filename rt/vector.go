@@ -46,6 +46,7 @@ var zcCounters struct {
 	arenaGets      atomic.Uint64
 	arenaPuts      atomic.Uint64
 	arenaPinned    atomic.Uint64
+	arenaDropped   atomic.Uint64
 }
 
 // ZeroCopyStats is a point-in-time copy of the zero-copy counters.
@@ -68,9 +69,14 @@ type ZeroCopyStats struct {
 	// counts arenas whose recycle was forfeited because alias views
 	// were outstanding at Release (ownership transferred to the
 	// views; the garbage collector reclaims the arena when they die).
-	ArenaGets   uint64
-	ArenaPuts   uint64
-	ArenaPinned uint64
+	// ArenaDropped counts buffers released un-aliased that no pool
+	// kept (the big class's free list was full, or the buffer was
+	// message-sized), which closes the ledger: with nothing in flight,
+	// ArenaGets == ArenaPuts + ArenaPinned + ArenaDropped.
+	ArenaGets    uint64
+	ArenaPuts    uint64
+	ArenaPinned  uint64
+	ArenaDropped uint64
 }
 
 // Sub returns the counter deltas since an earlier snapshot.
@@ -85,6 +91,7 @@ func (s ZeroCopyStats) Sub(earlier ZeroCopyStats) ZeroCopyStats {
 		ArenaGets:      s.ArenaGets - earlier.ArenaGets,
 		ArenaPuts:      s.ArenaPuts - earlier.ArenaPuts,
 		ArenaPinned:    s.ArenaPinned - earlier.ArenaPinned,
+		ArenaDropped:   s.ArenaDropped - earlier.ArenaDropped,
 	}
 }
 
@@ -100,6 +107,7 @@ func ReadZeroCopyStats() ZeroCopyStats {
 		ArenaGets:      zcCounters.arenaGets.Load(),
 		ArenaPuts:      zcCounters.arenaPuts.Load(),
 		ArenaPinned:    zcCounters.arenaPinned.Load(),
+		ArenaDropped:   zcCounters.arenaDropped.Load(),
 	}
 }
 
