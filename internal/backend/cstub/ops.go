@@ -98,12 +98,21 @@ func callE(name string, args ...cast.Expr) cast.Expr {
 var encIdent = &cast.Ident{Name: "_e"}
 var decIdent = &cast.Ident{Name: "_d"}
 
-// failIf emits `if (!cond-is-ok) return -1;` for decode paths.
-func failIf(cond cast.Expr) cast.Stmt {
+// failWhen emits `if (cond) return -1;`, the decode paths' abort.
+func failWhen(cond cast.Expr) cast.Stmt {
 	return &cast.If{
-		Cond: &cast.Unary{Op: "!", Operand: cond},
+		Cond: cond,
 		Then: &cast.Block{Stmts: []cast.Stmt{&cast.Return{E: &cast.IntLit{Value: -1}}}},
 	}
+}
+
+// failIf emits `if (!cond-is-ok) return -1;`.
+func failIf(ok cast.Expr) cast.Stmt {
+	return failWhen(&cast.Unary{Op: "!", Operand: ok})
+}
+
+func assign(l, r cast.Expr) cast.Stmt {
+	return &cast.ExprStmt{E: &cast.Assign{Op: "=", L: l, R: r}}
 }
 
 func intLit(v int) cast.Expr { return &cast.IntLit{Value: int64(v)} }
@@ -141,6 +150,19 @@ func (e *emitter) convPut(a wire.Atom, w int, x cast.Expr) cast.Expr {
 	return &cast.CastExpr{To: t, Operand: x}
 }
 
+// convGet converts a raw wire read to the presented type of n.
+func convGet(a wire.Atom, n *pres.Node, raw cast.Expr) cast.Expr {
+	if a.Kind == wire.BoolAtom {
+		return &cast.Binary{Op: "!=", L: raw, R: intLit(0)}
+	}
+	if n != nil && a.Kind != wire.Float {
+		if t, ok := n.Resolve().CType.(cast.Type); ok {
+			return &cast.CastExpr{To: t, Operand: raw}
+		}
+	}
+	return raw
+}
+
 func (e *emitter) ops(out *[]cast.Stmt, ops []mir.Op, dir mir.Dir) error {
 	for _, op := range ops {
 		if err := e.op(out, op, dir); err != nil {
@@ -176,26 +198,14 @@ func (e *emitter) op(out *[]cast.Stmt, op mir.Op, dir mir.Dir) error {
 		if dir == mir.Marshal {
 			*out = append(*out, call(e.putName(op.Atom, op.Wire), encIdent, e.convPut(op.Atom, op.Wire, x)))
 		} else {
-			raw := callE(e.getName(op.Atom, op.Wire), decIdent)
-			var rhs cast.Expr = raw
-			if op.Atom.Kind == wire.BoolAtom {
-				rhs = &cast.Binary{Op: "!=", L: raw, R: intLit(0)}
-			} else if op.Pres != nil {
-				if t, ok := op.Pres.Resolve().CType.(cast.Type); ok && op.Atom.Kind != wire.Float {
-					rhs = &cast.CastExpr{To: t, Operand: raw}
-				}
-			}
-			*out = append(*out, &cast.ExprStmt{E: &cast.Assign{Op: "=", L: x, R: rhs}})
+			*out = append(*out, assign(x, convGet(op.Atom, op.Pres, callE(e.getName(op.Atom, op.Wire), decIdent))))
 		}
 	case *mir.ConstItem:
 		if dir == mir.Marshal {
 			*out = append(*out, call(e.putName(op.Atom, op.Wire), encIdent, &cast.UIntLit{Value: op.Value}))
 		} else {
 			raw := callE(e.getName(op.Atom, op.Wire), decIdent)
-			*out = append(*out, &cast.If{
-				Cond: &cast.Binary{Op: "!=", L: raw, R: &cast.UIntLit{Value: op.Value}},
-				Then: &cast.Block{Stmts: []cast.Stmt{&cast.Return{E: &cast.IntLit{Value: -1}}}},
-			})
+			*out = append(*out, failWhen(&cast.Binary{Op: "!=", L: raw, R: &cast.UIntLit{Value: op.Value}}))
 		}
 	case *mir.LenItem:
 		return e.lenItem(out, op, dir)
@@ -210,15 +220,12 @@ func (e *emitter) op(out *[]cast.Stmt, op mir.Op, dir mir.Dir) error {
 	case *mir.Chunk:
 		return e.chunk(out, op, dir)
 	case *mir.CallSub:
-		name := e.subFuncName(e.curProg, op.Sub, dir)
+		name := subFuncName(e.curProg.Subs[op.Sub], dir)
 		arg := e.subArg(op.Arg)
 		if dir == mir.Marshal {
 			*out = append(*out, call(name, encIdent, arg))
 		} else {
-			*out = append(*out, &cast.If{
-				Cond: &cast.Binary{Op: "!=", L: callE(name, decIdent, arg), R: intLit(0)},
-				Then: &cast.Block{Stmts: []cast.Stmt{&cast.Return{E: &cast.IntLit{Value: -1}}}},
-			})
+			*out = append(*out, failWhen(&cast.Binary{Op: "!=", L: callE(name, decIdent, arg), R: intLit(0)}))
 		}
 	default:
 		return fmt.Errorf("cstub: unknown op %T", op)
@@ -238,75 +245,84 @@ func (e *emitter) subArg(r mir.Ref) cast.Expr {
 	return &cast.Unary{Op: "&", Operand: x}
 }
 
+// putCount renders the element count a marshaled length prefix carries,
+// after its bound check. A string's strlen is cached in a local first:
+// exactly the optimization the paper's alternate Mail_send presentation
+// motivates.
+func (e *emitter) putCount(out *[]cast.Stmt, val mir.Ref, n *pres.Node, bound uint64, nul bool) cast.Expr {
+	var count cast.Expr
+	if n.Kind == pres.TerminatedKind {
+		tmp := e.newTmp("len")
+		*out = append(*out, &cast.DeclStmt{
+			Name: tmp, Type: &cast.Prim{Name: "uint32_t"},
+			Init: &cast.CastExpr{To: &cast.Prim{Name: "uint32_t"}, Operand: callE("strlen", e.valueExpr(val))},
+		})
+		e.lenVars[val.String()] = tmp
+		count = &cast.Ident{Name: tmp}
+	} else {
+		count = e.countExpr(val, n, mir.Marshal)
+	}
+	if b := lenBound(bound); b > 0 {
+		*out = append(*out, call("FLICK_CHECK_BOUND", count, intLit(b)))
+	}
+	if nul {
+		count = &cast.Binary{Op: "+", L: count, R: intLit(1)}
+	}
+	return count
+}
+
+// lenBound is the bound a length check enforces; 0 for unbounded.
+func lenBound(bound uint64) int {
+	if bound < uint64(0xFFFFFFFF) {
+		return int(bound)
+	}
+	return 0
+}
+
+func flag(b bool) cast.Expr {
+	if b {
+		return intLit(1)
+	}
+	return intLit(0)
+}
+
+// allocCounted records tmp as the decoded count of val and obtains the
+// storage its elements decode into.
+func (e *emitter) allocCounted(out *[]cast.Stmt, val mir.Ref, n *pres.Node, tmp string) {
+	e.lenVars[val.String()] = tmp
+	count := &cast.Ident{Name: tmp}
+	switch n.Kind {
+	case pres.CountedKind:
+		base, ptr := e.refExpr(val)
+		*out = append(*out,
+			assign(&cast.Member{Base: base, Name: n.LengthField, Arrow: ptr}, count),
+			assign(&cast.Member{Base: base, Name: n.BufferField, Arrow: ptr},
+				callE("flick_alloc", &cast.Binary{Op: "*", L: count, R: &cast.SizeofType{Of: cTypeOf(n.Elem())}})),
+		)
+	case pres.TerminatedKind:
+		x := e.valueExpr(val)
+		*out = append(*out,
+			assign(x, callE("flick_alloc", &cast.Binary{Op: "+", L: count, R: intLit(1)})),
+			assign(&cast.Index{Base: x, Index: count}, intLit(0)),
+		)
+	}
+}
+
 func (e *emitter) lenItem(out *[]cast.Stmt, op *mir.LenItem, dir mir.Dir) error {
 	n := op.Pres.Resolve()
-	bounded := op.Bound > 0 && op.Bound < uint64(0xFFFFFFFF)
 	if dir == mir.Marshal {
-		var count cast.Expr
-		if n.Kind == pres.TerminatedKind {
-			// Cache strlen once: exactly the optimization the paper's
-			// alternate Mail_send presentation motivates.
-			tmp := e.newTmp("len")
-			x := e.valueExpr(op.Val)
-			*out = append(*out, &cast.DeclStmt{
-				Name: tmp, Type: &cast.Prim{Name: "uint32_t"},
-				Init: &cast.CastExpr{To: &cast.Prim{Name: "uint32_t"},
-					Operand: callE("strlen", x)},
-			})
-			e.lenVars[op.Val.String()] = tmp
-			count = &cast.Ident{Name: tmp}
-		} else {
-			count = e.countExpr(op.Val, n, dir)
-		}
-		if bounded {
-			*out = append(*out, call("FLICK_CHECK_BOUND", count, intLit(int(op.Bound))))
-		}
-		if op.Nul {
-			count = &cast.Binary{Op: "+", L: count, R: intLit(1)}
-		}
+		count := e.putCount(out, op.Val, n, op.Bound, op.Nul)
 		*out = append(*out, call(fmt.Sprintf("flick_put_u32%s", e.ord()), encIdent, count))
 		return nil
 	}
 	// Unmarshal: read, validate, allocate.
 	tmp := e.newTmp("n")
-	bound := 0
-	if bounded {
-		bound = int(op.Bound)
-	}
-	nul := 0
-	if op.Nul {
-		nul = 1
-	}
 	*out = append(*out,
 		&cast.DeclStmt{Name: tmp, Type: &cast.Prim{Name: "uint32_t"}},
-		failIf(callE(fmt.Sprintf("flick_dec_len_%s", e.ord()), decIdent, intLit(bound), intLit(nul),
+		failIf(callE(fmt.Sprintf("flick_dec_len_%s", e.ord()), decIdent, intLit(lenBound(op.Bound)), flag(op.Nul),
 			&cast.Unary{Op: "&", Operand: &cast.Ident{Name: tmp}})),
 	)
-	e.lenVars[op.Val.String()] = tmp
-	switch n.Kind {
-	case pres.CountedKind:
-		base, ptr := e.refExpr(op.Val)
-		elemT := cTypeOf(n.Elem())
-		*out = append(*out,
-			&cast.ExprStmt{E: &cast.Assign{Op: "=",
-				L: &cast.Member{Base: base, Name: n.LengthField, Arrow: ptr},
-				R: &cast.Ident{Name: tmp}}},
-			&cast.ExprStmt{E: &cast.Assign{Op: "=",
-				L: &cast.Member{Base: base, Name: n.BufferField, Arrow: ptr},
-				R: callE("flick_alloc", &cast.Binary{Op: "*",
-					L: &cast.Ident{Name: tmp}, R: &cast.SizeofType{Of: elemT}})}},
-		)
-	case pres.TerminatedKind:
-		x := e.valueExpr(op.Val)
-		*out = append(*out,
-			&cast.ExprStmt{E: &cast.Assign{Op: "=", L: x,
-				R: callE("flick_alloc", &cast.Binary{Op: "+",
-					L: &cast.Ident{Name: tmp}, R: intLit(1)})}},
-			&cast.ExprStmt{E: &cast.Assign{Op: "=",
-				L: &cast.Index{Base: x, Index: &cast.Ident{Name: tmp}},
-				R: intLit(0)}},
-		)
-	}
+	e.allocCounted(out, op.Val, n, tmp)
 	return nil
 }
 
@@ -392,8 +408,7 @@ func (e *emitter) opt(out *[]cast.Stmt, op *mir.Opt, dir mir.Dir) error {
 	}
 	elemT := cTypeOf(op.Pres.Resolve().Elem())
 	var thenStmts []cast.Stmt
-	thenStmts = append(thenStmts, &cast.ExprStmt{E: &cast.Assign{Op: "=", L: x,
-		R: callE("flick_alloc", &cast.SizeofType{Of: elemT})}})
+	thenStmts = append(thenStmts, assign(x, callE("flick_alloc", &cast.SizeofType{Of: elemT})))
 	if err := e.ops(&thenStmts, op.Body, dir); err != nil {
 		return err
 	}
@@ -401,7 +416,7 @@ func (e *emitter) opt(out *[]cast.Stmt, op *mir.Opt, dir mir.Dir) error {
 		Cond: callE(e.getName(wire.Bool, flagW), decIdent),
 		Then: &cast.Block{Stmts: thenStmts},
 		Else: &cast.Block{Stmts: []cast.Stmt{
-			&cast.ExprStmt{E: &cast.Assign{Op: "=", L: x, R: &cast.Ident{Name: "NULL"}}},
+			assign(x, &cast.Ident{Name: "NULL"}),
 		}},
 	})
 	return nil
@@ -419,7 +434,7 @@ func (e *emitter) swtch(out *[]cast.Stmt, op *mir.Switch, dir mir.Dir) error {
 				rhs = &cast.CastExpr{To: t, Operand: raw}
 			}
 		}
-		*out = append(*out, &cast.ExprStmt{E: &cast.Assign{Op: "=", L: on, R: rhs}})
+		*out = append(*out, assign(on, rhs))
 	}
 	sw := &cast.Switch{On: on}
 	for _, c := range op.Cases {
@@ -489,26 +504,7 @@ func (e *emitter) chunkItem(out *[]cast.Stmt, b cast.Expr, it mir.ChunkItem, dir
 		case it.Const != nil:
 			*out = append(*out, call(e.chunkMacro("PUT", it.Wire, it.Atom), b, off, &cast.UIntLit{Value: *it.Const}))
 		case it.IsLen:
-			n := it.Pres.Resolve()
-			var count cast.Expr
-			if n.Kind == pres.TerminatedKind {
-				tmp := e.newTmp("len")
-				x := e.valueExpr(it.Val)
-				*out = append(*out, &cast.DeclStmt{
-					Name: tmp, Type: &cast.Prim{Name: "uint32_t"},
-					Init: &cast.CastExpr{To: &cast.Prim{Name: "uint32_t"}, Operand: callE("strlen", x)},
-				})
-				e.lenVars[it.Val.String()] = tmp
-				count = &cast.Ident{Name: tmp}
-			} else {
-				count = e.countExpr(it.Val, n, dir)
-			}
-			if it.Bound > 0 && it.Bound < uint64(0xFFFFFFFF) {
-				*out = append(*out, call("FLICK_CHECK_BOUND", count, intLit(int(it.Bound))))
-			}
-			if it.Nul {
-				count = &cast.Binary{Op: "+", L: count, R: intLit(1)}
-			}
+			count := e.putCount(out, it.Val, it.Pres.Resolve(), it.Bound, it.Nul)
 			*out = append(*out, call(e.chunkMacro("PUT", it.Wire, wire.U32), b, off, count))
 		default:
 			x := e.valueExpr(it.Val)
@@ -519,60 +515,17 @@ func (e *emitter) chunkItem(out *[]cast.Stmt, b cast.Expr, it mir.ChunkItem, dir
 	raw := callE(e.chunkMacro("GET", it.Wire, it.Atom), b, off)
 	switch {
 	case it.Const != nil:
-		*out = append(*out, &cast.If{
-			Cond: &cast.Binary{Op: "!=", L: raw, R: &cast.UIntLit{Value: *it.Const}},
-			Then: &cast.Block{Stmts: []cast.Stmt{&cast.Return{E: &cast.IntLit{Value: -1}}}},
-		})
+		*out = append(*out, failWhen(&cast.Binary{Op: "!=", L: raw, R: &cast.UIntLit{Value: *it.Const}}))
 	case it.IsLen:
-		n := it.Pres.Resolve()
 		tmp := e.newTmp("n")
-		bound := 0
-		if it.Bound > 0 && it.Bound < uint64(0xFFFFFFFF) {
-			bound = int(it.Bound)
-		}
-		nul := 0
-		if it.Nul {
-			nul = 1
-		}
 		*out = append(*out,
 			&cast.DeclStmt{Name: tmp, Type: &cast.Prim{Name: "uint32_t"}, Init: raw},
-			failIf(callE("flick_check_len", decIdent, &cast.Ident{Name: tmp}, intLit(bound), intLit(nul),
+			failIf(callE("flick_check_len", decIdent, &cast.Ident{Name: tmp}, intLit(lenBound(it.Bound)), flag(it.Nul),
 				&cast.Unary{Op: "&", Operand: &cast.Ident{Name: tmp}})),
 		)
-		e.lenVars[it.Val.String()] = tmp
-		switch n.Kind {
-		case pres.CountedKind:
-			base, ptr := e.refExpr(it.Val)
-			elemT := cTypeOf(n.Elem())
-			*out = append(*out,
-				&cast.ExprStmt{E: &cast.Assign{Op: "=",
-					L: &cast.Member{Base: base, Name: n.LengthField, Arrow: ptr},
-					R: &cast.Ident{Name: tmp}}},
-				&cast.ExprStmt{E: &cast.Assign{Op: "=",
-					L: &cast.Member{Base: base, Name: n.BufferField, Arrow: ptr},
-					R: callE("flick_alloc", &cast.Binary{Op: "*",
-						L: &cast.Ident{Name: tmp}, R: &cast.SizeofType{Of: elemT}})}},
-			)
-		case pres.TerminatedKind:
-			x := e.valueExpr(it.Val)
-			*out = append(*out,
-				&cast.ExprStmt{E: &cast.Assign{Op: "=", L: x,
-					R: callE("flick_alloc", &cast.Binary{Op: "+", L: &cast.Ident{Name: tmp}, R: intLit(1)})}},
-				&cast.ExprStmt{E: &cast.Assign{Op: "=",
-					L: &cast.Index{Base: x, Index: &cast.Ident{Name: tmp}}, R: intLit(0)}},
-			)
-		}
+		e.allocCounted(out, it.Val, it.Pres.Resolve(), tmp)
 	default:
-		x := e.valueExpr(it.Val)
-		var rhs cast.Expr = raw
-		if it.Atom.Kind == wire.BoolAtom {
-			rhs = &cast.Binary{Op: "!=", L: raw, R: intLit(0)}
-		} else if it.Pres != nil {
-			if t, ok := it.Pres.Resolve().CType.(cast.Type); ok && it.Atom.Kind != wire.Float {
-				rhs = &cast.CastExpr{To: t, Operand: raw}
-			}
-		}
-		*out = append(*out, &cast.ExprStmt{E: &cast.Assign{Op: "=", L: x, R: rhs}})
+		*out = append(*out, assign(e.valueExpr(it.Val), convGet(it.Atom, it.Pres, raw)))
 	}
 	return nil
 }

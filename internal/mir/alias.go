@@ -145,24 +145,10 @@ func (a *aliaser) walk(ops []Op, cur *cursor) {
 			op.Alias = a.proveBulk(op, cur)
 			a.count(op.Alias)
 			a.advanceBulk(op, cur)
-		case *Loop:
-			// Element placement inside the body is iteration-relative.
-			sub := cursor{known: false, guar: 1}
-			a.walk(op.Body, &sub)
-			cur.reset()
-		case *Opt:
-			cur.advance(op.Wire)
-			sub := cursor{known: false, guar: 1}
-			a.walk(op.Body, &sub)
-			cur.reset()
-		case *Switch:
-			cur.advance(op.Wire)
-			for i := range op.Cases {
-				sub := cursor{known: false, guar: 1}
-				a.walk(op.Cases[i].Body, &sub)
-			}
-			sub := cursor{known: false, guar: 1}
-			a.walk(op.Default, &sub)
+		case *Loop, *Opt, *Switch:
+			// Placement inside a body is relative to where the iteration
+			// or the arm happens to start, and unknown after it.
+			Bodies(op, func(body *[]Op) { a.walk(*body, &cursor{known: false, guar: 1}) })
 			cur.reset()
 		case *CallSub:
 			cur.reset()

@@ -418,30 +418,14 @@ func (lo *lowerer) elemStride(elem *pres.Node) (stride, maxAlign int, ok bool) {
 }
 
 func hasAlign(ops []Op) bool {
+	found := false
 	for _, op := range ops {
-		switch op := op.(type) {
-		case *Align:
+		if _, isAlign := op.(*Align); isAlign {
 			return true
-		case *Loop:
-			if hasAlign(op.Body) {
-				return true
-			}
-		case *Opt:
-			if hasAlign(op.Body) {
-				return true
-			}
-		case *Switch:
-			for _, c := range op.Cases {
-				if hasAlign(c.Body) {
-					return true
-				}
-			}
-			if hasAlign(op.Default) {
-				return true
-			}
 		}
+		Bodies(op, func(body *[]Op) { found = found || hasAlign(*body) })
 	}
-	return false
+	return found
 }
 
 // hasDynamic reports data-dependent size (loops with dynamic counts,

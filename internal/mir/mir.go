@@ -390,6 +390,25 @@ type CallSub struct {
 	Arg Ref
 }
 
+// Bodies calls f on each op list nested in a structured op — a loop's or
+// an optional's body, a switch's arms and then its default (nil when it
+// has none) — through a pointer, so a pass can read the list or replace
+// it. Other ops have none. It is the one spelling of the recursion every
+// pass that treats all nested lists alike goes through.
+func Bodies(op Op, f func(body *[]Op)) {
+	switch op := op.(type) {
+	case *Loop:
+		f(&op.Body)
+	case *Opt:
+		f(&op.Body)
+	case *Switch:
+		for i := range op.Cases {
+			f(&op.Cases[i].Body)
+		}
+		f(&op.Default)
+	}
+}
+
 func (*Align) isOp()     {}
 func (*Ensure) isOp()    {}
 func (*EnsureDyn) isOp() {}

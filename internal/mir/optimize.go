@@ -45,9 +45,8 @@ func optimize(prog *Program, f wire.Format, opts Options) {
 func memcpyPass(ops []Op, st *Stats) []Op {
 	out := make([]Op, 0, len(ops))
 	for _, op := range ops {
-		switch op := op.(type) {
-		case *Loop:
-			op.Body = memcpyPass(op.Body, st)
+		Bodies(op, func(body *[]Op) { *body = memcpyPass(*body, st) })
+		if op, isLoop := op.(*Loop); isLoop {
 			if item, ok := atomicLoopBody(op); ok {
 				st.BulkArrays++
 				if op.Count >= 0 {
@@ -61,19 +60,8 @@ func memcpyPass(ops []Op, st *Stats) []Op {
 				}
 				continue
 			}
-			out = append(out, op)
-		case *Opt:
-			op.Body = memcpyPass(op.Body, st)
-			out = append(out, op)
-		case *Switch:
-			for i := range op.Cases {
-				op.Cases[i].Body = memcpyPass(op.Cases[i].Body, st)
-			}
-			op.Default = memcpyPass(op.Default, st)
-			out = append(out, op)
-		default:
-			out = append(out, op)
 		}
+		out = append(out, op)
 	}
 	return out
 }
@@ -135,6 +123,9 @@ func groupPass(ops []Op, threshold int, dir Dir, st *Stats) []Op {
 		run, runBytes, dyn = nil, 0, nil
 	}
 	for i := 0; i < len(ops); i++ {
+		// Nested lists group first; what happens to the op then depends
+		// on what its grouped bodies still need.
+		Bodies(ops[i], func(body *[]Op) { *body = groupPass(*body, threshold, dir, st) })
 		switch op := ops[i].(type) {
 		case *Ensure:
 			st.SpaceChecksBefore++
@@ -183,7 +174,6 @@ func groupPass(ops []Op, threshold int, dir Dir, st *Stats) []Op {
 			}
 			out = append(out, op)
 		case *Loop:
-			op.Body = groupPass(op.Body, threshold, dir, st)
 			if cost, static := staticCost(op.Body); static {
 				total := 0
 				fits := false
@@ -206,26 +196,12 @@ func groupPass(ops []Op, threshold int, dir Dir, st *Stats) []Op {
 			flush()
 			out = append(out, op)
 		case *Switch:
-			for j := range op.Cases {
-				op.Cases[j].Body = groupPass(op.Cases[j].Body, threshold, dir, st)
-			}
-			op.Default = groupPass(op.Default, threshold, dir, st)
 			if maxArm, static := staticSwitch(op); static && maxArm <= threshold && !exact {
 				runBytes += maxArm
-				for j := range op.Cases {
-					op.Cases[j].Body = stripLeadingEnsure(op.Cases[j].Body, st)
-				}
-				op.Default = stripLeadingEnsure(op.Default, st)
+				Bodies(op, func(arm *[]Op) { *arm = stripLeadingEnsure(*arm, st) })
 				run = append(run, op)
 				continue
 			}
-			flush()
-			out = append(out, op)
-		case *Opt:
-			op.Body = groupPass(op.Body, threshold, dir, st)
-			flush()
-			out = append(out, op)
-		case *CallSub:
 			flush()
 			out = append(out, op)
 		default:
@@ -358,22 +334,8 @@ func chunkPass(ops []Op, st *Stats) []Op {
 		case *Align:
 			flush()
 			out = append(out, op)
-		case *Loop:
-			op.Body = chunkPass(op.Body, st)
-			flush()
-			out = append(out, op)
-		case *Opt:
-			op.Body = chunkPass(op.Body, st)
-			flush()
-			out = append(out, op)
-		case *Switch:
-			for j := range op.Cases {
-				op.Cases[j].Body = chunkPass(op.Cases[j].Body, st)
-			}
-			op.Default = chunkPass(op.Default, st)
-			flush()
-			out = append(out, op)
 		default:
+			Bodies(op, func(body *[]Op) { *body = chunkPass(*body, st) })
 			flush()
 			out = append(out, op)
 		}

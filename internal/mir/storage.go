@@ -232,15 +232,8 @@ func (p *planner) elemMins(ops []Op) {
 					it.ElemMin = elemMin(it.Val)
 				}
 			}
-		case *Loop:
-			p.elemMins(op.Body)
-		case *Opt:
-			p.elemMins(op.Body)
-		case *Switch:
-			for _, c := range op.Cases {
-				p.elemMins(c.Body)
-			}
-			p.elemMins(op.Default)
+		default:
+			Bodies(op, func(body *[]Op) { p.elemMins(*body) })
 		}
 	}
 }
@@ -362,16 +355,10 @@ func (p *planner) mark(ops []Op) {
 		case *Bulk:
 			op.Slab = byteData(op) && !p.skip(op)
 		case *Loop:
-			if op.Slab = byteData(op); !op.Slab {
-				p.mark(op.Body)
+			if op.Slab = byteData(op); op.Slab {
+				continue
 			}
-		case *Opt:
-			p.mark(op.Body)
-		case *Switch:
-			for _, c := range op.Cases {
-				p.mark(c.Body)
-			}
-			p.mark(op.Default)
 		}
+		Bodies(op, func(body *[]Op) { p.mark(*body) })
 	}
 }

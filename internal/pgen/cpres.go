@@ -489,37 +489,12 @@ func (g *CPresentation) stubName(it *aoi.Interface, op *aoi.Operation) string {
 }
 
 func (g *CPresentation) opStub(it *aoi.Interface, op *aoi.Operation, side presc.Side) (*presc.Stub, error) {
-	kind := presc.ClientCall
-	if side == presc.Server {
-		kind = presc.ServerWork
-	}
-	if op.Oneway && side == presc.Client {
-		kind = presc.SendOnly
-	}
-	stub := &presc.Stub{
-		Kind:       kind,
-		Name:       g.stubName(it, op),
-		Interface:  it.Name,
-		Op:         op.Name,
-		OpCode:     op.Code,
-		OpName:     op.Name,
-		Prog:       it.Program,
-		Vers:       it.Version,
-		Oneway:     op.Oneway,
-		Idempotent: op.Idempotent,
-		Stream:     op.Stream,
-		Request:    g.mb.BuildRequest(it.Name, op),
-	}
-	if !op.Oneway {
-		stub.Reply = g.mb.BuildReply(it.Name, op, it.Excepts)
-		stub.ExceptionNames = op.Raises
-	}
+	stub := g.mb.newStub(it, op, side, g.stubName(it, op))
 	decl := &cast.FuncDecl{Name: stub.Name}
 	if g.style != "rpcgen" {
 		decl.Params = append(decl.Params, cast.Param{Name: "_obj", Type: &cast.Named{Name: CName(it.Name)}})
 	}
 	for _, p := range op.Params {
-		pp := presc.ParamPres{Name: p.Name}
 		node, err := g.node(p.Type)
 		if err != nil {
 			return nil, err
@@ -529,25 +504,12 @@ func (g *CPresentation) opStub(it *aoi.Interface, op *aoi.Operation, side presc.
 			return nil, err
 		}
 		paramT := g.paramCType(p, ct)
-		pp.CType = paramT
-		switch p.Dir {
-		case aoi.In:
-			pp.Role = presc.RoleRequest
-			pp.Request = node
-		case aoi.Out:
-			pp.Role = presc.RoleReply
-			pp.Reply = node
-		case aoi.InOut:
-			pp.Role = presc.RoleBoth
-			pp.Request = node
-			pp.Reply = node
-		}
 		decl.Params = append(decl.Params, cast.Param{Name: p.Name, Type: paramT})
-		stub.Params = append(stub.Params, pp)
+		stub.Params = append(stub.Params, paramPres(p.Name, p.Dir, paramT, node))
 	}
 	// Result.
 	ret := cast.Type(cast.Void)
-	if op.Result != nil && !aoi.IsVoid(op.Result) {
+	if hasResult(op) {
 		node, err := g.node(op.Result)
 		if err != nil {
 			return nil, err

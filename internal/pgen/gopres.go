@@ -352,57 +352,19 @@ func (g *GoPresentation) interfaceStubs(it *aoi.Interface, side presc.Side) ([]*
 }
 
 func (g *GoPresentation) opStub(it *aoi.Interface, op *aoi.Operation, side presc.Side) (*presc.Stub, error) {
-	kind := presc.ClientCall
-	if side == presc.Server {
-		kind = presc.ServerWork
-	}
-	if op.Oneway && side == presc.Client {
-		kind = presc.SendOnly
-	}
-	stub := &presc.Stub{
-		Kind:       kind,
-		Name:       GoName(it.Name) + "_" + GoName(op.Name),
-		Interface:  it.Name,
-		Op:         op.Name,
-		OpCode:     op.Code,
-		OpName:     op.Name,
-		Prog:       it.Program,
-		Vers:       it.Version,
-		Oneway:     op.Oneway,
-		Idempotent: op.Idempotent,
-		Stream:     op.Stream,
-		Request:    g.mb.BuildRequest(it.Name, op),
-	}
-	if !op.Oneway {
-		stub.Reply = g.mb.BuildReply(it.Name, op, it.Excepts)
-		stub.ExceptionNames = op.Raises
-	}
+	stub := g.mb.newStub(it, op, side, GoName(it.Name)+"_"+GoName(op.Name))
 	for _, p := range op.Params {
-		pp := presc.ParamPres{Name: goParamName(p.Name)}
 		ct, err := g.TypeFor(p.Type)
 		if err != nil {
 			return nil, err
 		}
-		pp.CType = ct
 		node, err := g.Node(p.Type)
 		if err != nil {
 			return nil, err
 		}
-		switch p.Dir {
-		case aoi.In:
-			pp.Role = presc.RoleRequest
-			pp.Request = node
-		case aoi.Out:
-			pp.Role = presc.RoleReply
-			pp.Reply = node
-		case aoi.InOut:
-			pp.Role = presc.RoleBoth
-			pp.Request = node
-			pp.Reply = node
-		}
-		stub.Params = append(stub.Params, pp)
+		stub.Params = append(stub.Params, paramPres(goParamName(p.Name), p.Dir, ct, node))
 	}
-	if op.Result != nil && !aoi.IsVoid(op.Result) {
+	if hasResult(op) {
 		ct, err := g.TypeFor(op.Result)
 		if err != nil {
 			return nil, err
@@ -411,12 +373,7 @@ func (g *GoPresentation) opStub(it *aoi.Interface, op *aoi.Operation, side presc
 		if err != nil {
 			return nil, err
 		}
-		stub.Result = &presc.ParamPres{
-			Name:  "ret",
-			CType: ct,
-			Role:  presc.RoleReply,
-			Reply: node,
-		}
+		stub.Result = &presc.ParamPres{Name: "ret", CType: ct, Role: presc.RoleReply, Reply: node}
 	}
 	// Exception presentations, in raises order, for reply demarshaling.
 	for _, exName := range op.Raises {
@@ -499,7 +456,7 @@ func (g *GoPresentation) signature(it *aoi.Interface, op *aoi.Operation) string 
 			out = append(out, goParamName(p.Name)+"Out "+ct)
 		}
 	}
-	if op.Result != nil && !aoi.IsVoid(op.Result) {
+	if hasResult(op) {
 		ct, _ := g.TypeFor(op.Result)
 		out = append([]string{"ret " + ct}, out...)
 	}

@@ -179,7 +179,7 @@ func (b *MintBuilder) BuildRequest(ifaceName string, op *aoi.Operation) *mint.St
 // out/inout parameters; case i+1 carries exception i's members.
 func (b *MintBuilder) BuildReply(ifaceName string, op *aoi.Operation, excepts []*aoi.Exception) *mint.Union {
 	ok := &mint.Struct{Name: ifaceName + "." + op.Name + ".results"}
-	if op.Result != nil && !aoi.IsVoid(op.Result) {
+	if hasResult(op) {
 		ok.Slots = append(ok.Slots, mint.Slot{Name: "return", Type: b.Convert(op.Result)})
 	}
 	for _, p := range op.Params {
