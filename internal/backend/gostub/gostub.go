@@ -18,6 +18,7 @@ import (
 	"go/format"
 	"strings"
 
+	"flick/internal/backend"
 	"flick/internal/mir"
 	"flick/internal/pres"
 	"flick/internal/presc"
@@ -162,23 +163,30 @@ func Generate(f *presc.File, cfg Config) (string, error) {
 		return "", fmt.Errorf("gostub: -zerocopy requires the memcpy optimization (no bulk regions to alias without it)")
 	}
 	e := &emitter{
-		cfg:     cfg,
-		opts:    cfg.options(),
-		big:     cfg.Format.Order() == wire.BigEndian,
-		checked: cfg.Style != StyleFlick,
-		vtbl:    cfg.Style == StylePowerRPC,
-		zc:      cfg.ZeroCopy,
-		subSeen: map[string]bool{},
-
+		cfg:      cfg,
+		big:      cfg.Format.Order() == wire.BigEndian,
+		checked:  cfg.Style != StyleFlick,
+		vtbl:     cfg.Style == StylePowerRPC,
+		zc:       cfg.ZeroCopy,
+		subs:     backend.Subs{},
 		borrowed: map[string][]string{},
 	}
-	e.b = &strings.Builder{}
+	e.b = &e.body
+	// Parameter management is a Go-stub concern (C unmarshals in place),
+	// and the baselines model compilers that allocate per datum. Arena
+	// views under -zerocopy already have their storage.
+	e.low = backend.Lowering{
+		Format: cfg.Format, Opts: cfg.options(), Verify: cfg.Verify,
+		PlanStorage: !e.checked, Skip: e.zcAliasDecode, VerifyAlias: true,
+	}
+	if cfg.Stats != nil {
+		e.low.Counters = &cfg.Stats.Verify
+	}
 	return e.file(f)
 }
 
 type emitter struct {
 	cfg     Config
-	opts    mir.Options
 	big     bool
 	checked bool
 	vtbl    bool
@@ -187,11 +195,49 @@ type emitter struct {
 	// regions carrying a verifier-approved alias-safe proof.
 	zc bool
 
-	b       *strings.Builder
-	indent  int
-	tmp     int
-	subSeen map[string]bool
-	subBuf  strings.Builder
+	// low lowers, plans and verifies each message's program (the kit's
+	// sequence); subs schedules the out-of-line routines.
+	low  backend.Lowering
+	subs backend.Subs
+
+	// b is where pf writes: body (stub functions, then the RPC shells) or
+	// subBuf (out-of-line routines, which close the file) — whichever the
+	// function being emitted belongs to.
+	b            *strings.Builder
+	body, subBuf strings.Builder
+	tmp          int
+	// fn is the generated function being emitted.
+	fn *function
+	// borrowed records, per unmarshal function name, the roots whose
+	// decoded value holds an arena view (-zerocopy only): the dispatch
+	// arm ends the borrow of a request's, the server interface names
+	// them.
+	borrowed map[string][]string
+
+	usesBinary  bool
+	usesMath    bool
+	usesContext bool
+}
+
+// function is one generated marshal or unmarshal function: what frames
+// its ops, and the state they resolve against while they are emitted.
+// Nothing in it outlives the function.
+type function struct {
+	// head is the doc comment and the "func … {" line; prelude precedes
+	// the ops; tail and then epilogue follow them, before the closing
+	// brace.
+	head, prelude, tail string
+	epilogue            func() error
+	// prog is the program whose ops are being emitted (sub-call names,
+	// the storage plan); ops is all of it, or one of its subprograms.
+	prog *mir.Program
+	ops  []mir.Op
+	// refMap rebinds ref roots (pointer-passed parameters, subprogram
+	// "v", loop elements).
+	refMap map[string]string
+	// retErr is the statement sequence aborting the function on decoder
+	// error.
+	retErr string
 	// lenVars maps a counted value's path to the local holding its
 	// just-decoded element count (unmarshal only).
 	lenVars map[string]string
@@ -199,29 +245,19 @@ type emitter struct {
 	// receive arena, so their length items skip the make (unmarshal
 	// only, -zerocopy only).
 	zcVals map[string]bool
-	// borrowed records, per unmarshal function name, the roots whose
-	// decoded value holds an arena view (-zerocopy only): the dispatch
-	// arm ends the borrow of a request's, the server interface names
-	// them.
-	borrowed map[string][]string
-	// refMap rebinds ref roots (subprogram "v", loop elements).
-	refMap map[string]string
-	// retErr is the statement sequence aborting the current function on
-	// decoder error.
-	retErr string
-	// curProg is the program whose ops are being emitted (for sub-call
-	// name resolution).
-	curProg *mir.Program
-
-	usesBinary  bool
-	usesMath    bool
-	usesContext bool
 }
 
+// pf writes one or more lines of generated code. Layout is gofmt's
+// business: file() formats the whole text, which is also the check that
+// it parses.
 func (e *emitter) pf(format string, args ...any) {
-	e.b.WriteString(strings.Repeat("\t", e.indent))
 	fmt.Fprintf(e.b, format, args...)
 	e.b.WriteByte('\n')
+}
+
+// unless aborts the function being emitted when cond does not hold.
+func (e *emitter) unless(cond string, args ...any) {
+	e.pf("if !"+cond+" {\n%s\n}", append(args, e.fn.retErr)...)
 }
 
 func (e *emitter) ord() string {
@@ -245,35 +281,22 @@ func (e *emitter) newTmp(prefix string) string {
 
 // file drives whole-file generation.
 func (e *emitter) file(f *presc.File) (string, error) {
-	var body strings.Builder
 	// Generate stub bodies first so import usage is known. In
 	// surfaces-only mode the marshal core already exists elsewhere in
 	// the package; only the surface shells are rendered.
 	if !e.cfg.SurfacesOnly {
 		for _, stub := range f.Stubs {
-			src, err := e.stubFuncs(stub)
-			if err != nil {
+			if err := e.stubFuncs(stub); err != nil {
 				return "", fmt.Errorf("gostub: stub %s: %w", stub.Name, err)
 			}
-			body.WriteString(src)
 		}
 	}
 	if e.cfg.EmitRPC {
 		// Client stubs and server dispatch, one set per interface.
-		var order []string
-		byIface := map[string][]*presc.Stub{}
-		for _, stub := range f.Stubs {
-			if _, seen := byIface[stub.Interface]; !seen {
-				order = append(order, stub.Interface)
+		for _, iface := range backend.Interfaces(f) {
+			if err := e.rpcFuncs(iface.Name, iface.Stubs); err != nil {
+				return "", fmt.Errorf("gostub: interface %s: %w", iface.Name, err)
 			}
-			byIface[stub.Interface] = append(byIface[stub.Interface], stub)
-		}
-		for _, iface := range order {
-			src, err := e.rpcFuncs(iface, byIface[iface])
-			if err != nil {
-				return "", fmt.Errorf("gostub: interface %s: %w", iface, err)
-			}
-			body.WriteString(src)
 		}
 	}
 
@@ -298,7 +321,7 @@ func (e *emitter) file(f *presc.File) (string, error) {
 			out.WriteString(decls)
 		}
 	}
-	out.WriteString(body.String())
+	out.WriteString(e.body.String())
 	out.WriteString(e.subBuf.String())
 	formatted, err := format.Source([]byte(out.String()))
 	if err != nil {
@@ -314,116 +337,62 @@ func stubPrefix(s *presc.Stub) string {
 	return strings.ReplaceAll(s.Name, "_", "")
 }
 
-func (e *emitter) stubFuncs(s *presc.Stub) (string, error) {
+func (e *emitter) stubFuncs(s *presc.Stub) error {
 	prefix := stubPrefix(s) + e.cfg.FuncSuffix
-	var out strings.Builder
 
 	if e.cfg.Stats != nil {
 		// Collect this stub's optimizer counters in a private sink, then
 		// fold them into the run-wide report when the stub is done.
 		per := &mir.Stats{}
-		saved := e.opts.Stats
-		e.opts.Stats = per
+		saved := e.low.Opts.Stats
+		e.low.Opts.Stats = per
 		defer func() {
-			e.opts.Stats = saved
+			e.low.Opts.Stats = saved
 			e.cfg.Stats.Stubs = append(e.cfg.Stats.Stubs, StubStats{Stub: s.Name, S: *per})
 			e.cfg.Stats.Total.Add(*per)
 		}()
 	}
 
-	reqRoots := rootsOf(s.RequestParams(), nil)
-	repRoots := rootsOf(s.ReplyParams(), s.Result)
-
-	// Request marshal.
-	src, err := e.marshalFunc("Marshal"+prefix+"Request", reqRoots)
-	if err != nil {
-		return "", err
+	reqRoots := backend.Roots(s, false)
+	if err := e.marshalFunc("Marshal"+prefix+"Request", "", -1, reqRoots); err != nil {
+		return err
 	}
-	out.WriteString(src)
-
 	// Request unmarshal (server side).
-	src, err = e.unmarshalFunc("Unmarshal"+prefix+"Request", reqRoots)
-	if err != nil {
-		return "", err
+	if err := e.unmarshalFunc("Unmarshal"+prefix+"Request", reqRoots, nil); err != nil {
+		return err
 	}
-	out.WriteString(src)
 
 	if s.Stream {
 		// Stream operations have no single reply: the result type is
 		// the chunk, marshaled without a status word (chunks ride the
 		// stream envelope, and stream errors travel as error frames,
 		// not exception replies).
-		chunkRoots := []root{{"ret", s.Result.Reply}}
-		src, err = e.marshalFunc("Marshal"+prefix+"Chunk", chunkRoots)
-		if err != nil {
-			return "", err
+		chunkRoots := []mir.Root{{Name: "ret", Pres: s.Result.Reply}}
+		if err := e.marshalFunc("Marshal"+prefix+"Chunk", "", -1, chunkRoots); err != nil {
+			return err
 		}
-		out.WriteString(src)
-		src, err = e.unmarshalFunc("Unmarshal"+prefix+"Chunk", chunkRoots)
-		if err != nil {
-			return "", err
-		}
-		out.WriteString(src)
-		return out.String(), nil
+		return e.unmarshalFunc("Unmarshal"+prefix+"Chunk", chunkRoots, nil)
+	}
+	if s.Oneway {
+		return nil
 	}
 
-	if !s.Oneway {
-		// Reply marshal: status 0 + results.
-		src, err = e.replyMarshalFunc("Marshal"+prefix+"Reply", repRoots)
+	// Reply marshal: status 0 + results; one more per exception, status
+	// counting from 1.
+	repRoots := backend.Roots(s, true)
+	if err := e.marshalFunc("Marshal"+prefix+"Reply", "encodes a successful reply (status 0)", 0, repRoots); err != nil {
+		return err
+	}
+	for i, exName := range s.ExceptionNames {
+		err := e.marshalFunc("Marshal"+prefix+"Err"+strings.ReplaceAll(exName, "_", ""),
+			fmt.Sprintf("encodes an exception reply (status %d)", i+1), i+1,
+			[]mir.Root{{Name: "ex", Pres: s.ExceptionPres[i]}})
 		if err != nil {
-			return "", err
+			return err
 		}
-		out.WriteString(src)
-		// Exception marshals.
-		for i, exName := range s.ExceptionNames {
-			src, err = e.exceptionMarshalFunc(
-				"Marshal"+prefix+"Err"+strings.ReplaceAll(exName, "_", ""),
-				uint32(i+1), s.ExceptionPres[i])
-			if err != nil {
-				return "", err
-			}
-			out.WriteString(src)
-		}
-		// Reply unmarshal: status switch over results and exceptions.
-		src, err = e.replyUnmarshalFunc("Unmarshal"+prefix+"Reply", repRoots, s)
-		if err != nil {
-			return "", err
-		}
-		out.WriteString(src)
 	}
-	return out.String(), nil
-}
-
-type root struct {
-	name string
-	pres *pres.Node
-}
-
-func rootsOf(params []*presc.ParamPres, result *presc.ParamPres) []root {
-	var roots []root
-	if result != nil && result.Reply != nil {
-		roots = append(roots, root{"ret", result.Reply})
-	}
-	for _, p := range params {
-		n := p.Request
-		if n == nil {
-			n = p.Reply
-		}
-		roots = append(roots, root{p.Name, n})
-	}
-	return roots
-}
-
-// paramDecl renders a marshal-function parameter for a root: aggregates
-// pass by pointer.
-func paramDecl(r root) (decl, refExpr string) {
-	ct := ctypeOf(r.pres)
-	switch r.pres.Resolve().Kind {
-	case pres.StructKind, pres.UnionKind, pres.FixedArrayKind:
-		return r.name + " *" + ct, r.name
-	default:
-		return r.name + " " + ct, r.name
-	}
+	// Reply unmarshal: status switch over results and exceptions.
+	return e.unmarshalFunc("Unmarshal"+prefix+"Reply", repRoots, s)
 }
 
 func ctypeOf(n *pres.Node) string {
@@ -433,329 +402,166 @@ func ctypeOf(n *pres.Node) string {
 	return "any"
 }
 
-// pointerRootMap maps pointer-passed roots to their deref spelling so
-// nested ops (including out-of-line calls) address them correctly.
-func pointerRootMap(roots []root) map[string]string {
-	m := map[string]string{}
+// marshalFunc emits the function encoding roots, behind the reply status
+// word when status is not negative. Aggregates pass by pointer, and
+// nested ops (including out-of-line calls) address them through the
+// deref spelling. An empty doc describes a message payload.
+func (e *emitter) marshalFunc(name, doc string, status int, roots []mir.Root) error {
+	prog, err := e.low.Program(name, mir.Marshal, roots)
+	if err != nil {
+		return err
+	}
+	params := []string{"e *rt.Encoder"}
+	refs := map[string]string{}
 	for _, r := range roots {
-		switch r.pres.Resolve().Kind {
-		case pres.StructKind, pres.UnionKind, pres.FixedArrayKind:
-			m[r.name] = "(*" + r.name + ")"
+		star := ""
+		if isAggregate(r.Pres) {
+			star, refs[r.Name] = "*", "(*"+r.Name+")"
 		}
+		params = append(params, r.Name+" "+star+ctypeOf(r.Pres))
 	}
-	return m
+	if doc == "" {
+		doc = fmt.Sprintf("encodes the message payload (%s class, %s)", prog.Class, e.cfg.Format.Name())
+	}
+	f := &function{
+		head: fmt.Sprintf("// %s %s.\nfunc %s(%s) {", name, doc, name, strings.Join(params, ", ")),
+		prog: prog, refMap: refs,
+	}
+	switch {
+	case status < 0:
+	case e.checked:
+		f.prelude = fmt.Sprintf("e.PutU32%sC(%d)", e.ord(), status)
+	default:
+		f.prelude = fmt.Sprintf("e.Grow(4)\ne.PutU32%s(%d)", e.ord(), status)
+	}
+	return e.stubFunc(f, mir.Marshal)
 }
 
-func (e *emitter) lowerRoots(name string, dir mir.Dir, roots []root) (*mir.Program, error) {
-	mroots := make([]mir.Root, len(roots))
-	for i, r := range roots {
-		mroots[i] = mir.Root{Name: r.name, Pres: r.pres}
-	}
-	prog, err := mir.Lower(dir, mroots, e.cfg.Format, e.opts)
+// unmarshalFunc emits the function decoding roots. With reply set it
+// decodes s's whole reply: the status word first, then the roots on
+// status 0 or the matching declared exception, returned as err.
+func (e *emitter) unmarshalFunc(name string, roots []mir.Root, reply *presc.Stub) error {
+	prog, err := e.low.Program(name, mir.Unmarshal, roots)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Parameter management is a Go-stub concern (C unmarshals in place),
-	// and the baselines model compilers that allocate per datum. Arena
-	// views under -zerocopy already have their storage.
-	if !e.checked {
-		mir.PlanStorage(prog, e.zcAliasDecode, e.opts.Stats)
-	}
-	// Stage boundary: the optimized program must satisfy the emitter's
-	// invariants (space-check dominance, chunk layout, bulk identity)
-	// before any code is generated from it.
-	var vc *verify.Counters
-	if e.cfg.Stats != nil {
-		vc = &e.cfg.Stats.Verify
-	}
-	if fs := verify.MIR(prog, e.cfg.Format, name, e.cfg.Verify, vc); len(fs) > 0 {
-		return nil, fs.AsError()
-	}
-	// The zero-copy proofs get the same treatment: the emitter only
-	// trusts an alias-safe proof the verifier re-derived.
-	if fs := verify.ZeroCopy(prog, e.cfg.Format, name, e.cfg.Verify, vc); len(fs) > 0 {
-		return nil, fs.AsError()
-	}
-	return prog, nil
-}
-
-func (e *emitter) marshalFunc(name string, roots []root) (string, error) {
-	prog, err := e.lowerRoots(name, mir.Marshal, roots)
-	if err != nil {
-		return "", err
-	}
-	e.b.Reset()
-	params := []string{"e *rt.Encoder"}
-	for _, r := range roots {
-		decl, _ := paramDecl(r)
-		params = append(params, decl)
-	}
-	e.pf("// %s encodes the message payload (%s class, %s).", name, prog.Class, e.cfg.Format.Name())
-	e.pf("func %s(%s) {", name, strings.Join(params, ", "))
-	e.indent++
-	e.beginBody(mir.Marshal, pointerRootMap(roots))
-	e.curProg = prog
-	if err := e.ops(prog.Ops, mir.Marshal); err != nil {
-		return "", err
-	}
-	e.indent--
-	e.pf("}")
-	e.pf("")
-	if err := e.emitSubs(prog, mir.Marshal); err != nil {
-		return "", err
-	}
-	return e.b.String(), nil
-}
-
-func (e *emitter) unmarshalFunc(name string, roots []root) (string, error) {
-	prog, err := e.lowerRoots(name, mir.Unmarshal, roots)
-	if err != nil {
-		return "", err
-	}
-	e.b.Reset()
 	var results []string
 	for _, r := range roots {
-		results = append(results, r.name+" "+ctypeOf(r.pres))
+		results = append(results, r.Name+" "+ctypeOf(r.Pres))
 	}
-	results = append(results, "err error")
-	e.pf("// %s decodes the message payload (%s class, %s).", name, prog.Class, e.cfg.Format.Name())
-	e.pf("func %s(d *rt.Decoder) (%s) {", name, strings.Join(results, ", "))
-	e.indent++
-	e.beginBody(mir.Unmarshal, nil)
-	e.retErr = "err = d.Err()\nreturn"
-	e.curProg = prog
 	e.borrowed[name] = e.borrowedRoots(prog, roots)
-	if err := e.ops(prog.Ops, mir.Unmarshal); err != nil {
-		return "", err
-	}
-	e.pf("err = d.Err()")
-	e.pf("return")
-	e.indent--
-	e.pf("}")
-	e.pf("")
-	if err := e.emitSubs(prog, mir.Unmarshal); err != nil {
-		return "", err
-	}
-	return e.b.String(), nil
-}
-
-// replyMarshalFunc writes the success reply: status 0 followed by the
-// result and out parameters.
-func (e *emitter) replyMarshalFunc(name string, roots []root) (string, error) {
-	prog, err := e.lowerRoots(name, mir.Marshal, roots)
-	if err != nil {
-		return "", err
-	}
-	e.b.Reset()
-	params := []string{"e *rt.Encoder"}
-	for _, r := range roots {
-		decl, _ := paramDecl(r)
-		params = append(params, decl)
-	}
-	e.pf("// %s encodes a successful reply (status 0).", name)
-	e.pf("func %s(%s) {", name, strings.Join(params, ", "))
-	e.indent++
-	e.beginBody(mir.Marshal, pointerRootMap(roots))
-	e.curProg = prog
-	e.emitStatus(0)
-	if err := e.ops(prog.Ops, mir.Marshal); err != nil {
-		return "", err
-	}
-	e.indent--
-	e.pf("}")
-	e.pf("")
-	if err := e.emitSubs(prog, mir.Marshal); err != nil {
-		return "", err
-	}
-	return e.b.String(), nil
-}
-
-func (e *emitter) exceptionMarshalFunc(name string, status uint32, body *pres.Node) (string, error) {
-	prog, err := e.lowerRoots(name, mir.Marshal, []root{{"ex", body}})
-	if err != nil {
-		return "", err
-	}
-	e.b.Reset()
-	e.pf("// %s encodes an exception reply (status %d).", name, status)
-	e.pf("func %s(e *rt.Encoder, ex *%s) {", name, ctypeOf(body))
-	e.indent++
-	e.beginBody(mir.Marshal, map[string]string{"ex": "(*ex)"})
-	e.curProg = prog
-	e.emitStatus(status)
-	if err := e.ops(prog.Ops, mir.Marshal); err != nil {
-		return "", err
-	}
-	e.indent--
-	e.pf("}")
-	e.pf("")
-	if err := e.emitSubs(prog, mir.Marshal); err != nil {
-		return "", err
-	}
-	return e.b.String(), nil
-}
-
-func (e *emitter) emitStatus(v uint32) {
-	if e.checked {
-		e.pf("%s(%d)", e.putName(4, true), v)
-		return
-	}
-	e.pf("e.Grow(4)")
-	e.pf("e.PutU32%s(%d)", e.ord(), v)
-}
-
-func (e *emitter) replyUnmarshalFunc(name string, roots []root, s *presc.Stub) (string, error) {
-	prog, err := e.lowerRoots(name, mir.Unmarshal, roots)
-	if err != nil {
-		return "", err
-	}
-	e.b.Reset()
-	var results []string
-	for _, r := range roots {
-		results = append(results, r.name+" "+ctypeOf(r.pres))
-	}
-	results = append(results, "err error")
-	e.pf("// %s decodes a reply: results on status 0, a declared", name)
-	e.pf("// exception (returned as err) otherwise.")
-	e.pf("func %s(d *rt.Decoder) (%s) {", name, strings.Join(results, ", "))
-	e.indent++
-	e.beginBody(mir.Unmarshal, nil)
-	e.retErr = "err = d.Err()\nreturn"
-	e.curProg = prog
-	e.borrowed[name] = e.borrowedRoots(prog, roots)
-	if e.checked {
-		e.pf("st := d.U32%sC()", e.ord())
-	} else {
-		e.pf("if !d.Ensure(4) {")
-		e.emitRetErr()
-		e.pf("}")
-		e.pf("st := d.U32%s()", e.ord())
-	}
-	e.pf("switch st {")
-	e.pf("case 0:")
-	e.indent++
-	if err := e.ops(prog.Ops, mir.Unmarshal); err != nil {
-		return "", err
-	}
-	e.pf("err = d.Err()")
-	e.pf("return")
-	e.indent--
+	doc := fmt.Sprintf("decodes the message payload (%s class, %s)", prog.Class, e.cfg.Format.Name())
+	f := &function{prog: prog, retErr: "err = d.Err()\nreturn"}
+	f.tail = f.retErr
 	var exProgs []*mir.Program
-	for i, exName := range s.ExceptionNames {
-		exProg, lerr := e.lowerRoots(exName, mir.Unmarshal, []root{{"ex", s.ExceptionPres[i]}})
-		if lerr != nil {
-			return "", lerr
+	if reply != nil {
+		doc = "decodes a reply: results on status 0, a declared\n// exception (returned as err) otherwise"
+		for i, exName := range reply.ExceptionNames {
+			exProg, err := e.low.Program(exName, mir.Unmarshal, []mir.Root{{Name: "ex", Pres: reply.ExceptionPres[i]}})
+			if err != nil {
+				return err
+			}
+			exProgs = append(exProgs, exProg)
 		}
-		exProgs = append(exProgs, exProg)
-		e.pf("case %d:", i+1)
-		e.indent++
-		e.curProg = exProg
-		e.pf("ex := new(%s)", ctypeOf(s.ExceptionPres[i]))
-		saved := e.refMap
-		e.refMap = map[string]string{"ex": "(*ex)"}
-		for k, v := range saved {
-			e.refMap[k] = v
+		if e.checked {
+			f.prelude = fmt.Sprintf("st := d.U32%sC()", e.ord())
+		} else {
+			f.prelude = fmt.Sprintf("if !d.Ensure(4) {\n%s\n}\nst := d.U32%s()", f.retErr, e.ord())
 		}
-		if err := e.ops(exProg.Ops, mir.Unmarshal); err != nil {
-			return "", err
+		f.prelude += "\nswitch st {\ncase 0:"
+		f.epilogue = func() error {
+			for i, exProg := range exProgs {
+				e.pf("case %d:\nex := new(%s)", i+1, ctypeOf(reply.ExceptionPres[i]))
+				if err := e.inline(exProg, "ex", "(*ex)"); err != nil {
+					return err
+				}
+				e.pf("if d.Err() != nil {\n%s\n}\nerr = ex\nreturn", f.retErr)
+			}
+			e.pf("default:\nerr = d.Fail(rt.ErrBadUnion)\nreturn\n}")
+			return nil
 		}
-		e.refMap = saved
-		e.pf("if d.Err() != nil {")
-		e.emitRetErr()
-		e.pf("}")
-		e.pf("err = ex")
-		e.pf("return")
-		e.indent--
-		_ = exName
 	}
-	e.pf("default:")
-	e.indent++
-	e.pf("err = d.Fail(rt.ErrBadUnion)")
-	e.pf("return")
-	e.indent--
-	e.pf("}")
-	e.indent--
-	e.pf("}")
-	e.pf("")
-	if err := e.emitSubs(prog, mir.Unmarshal); err != nil {
-		return "", err
+	f.head = fmt.Sprintf("// %s %s.\nfunc %s(d *rt.Decoder) (%s) {", name, doc, name, strings.Join(append(results, "err error"), ", "))
+	if err := e.stubFunc(f, mir.Unmarshal); err != nil {
+		return err
 	}
 	for _, exProg := range exProgs {
 		if err := e.emitSubs(exProg, mir.Unmarshal); err != nil {
-			return "", err
+			return err
 		}
-	}
-	return e.b.String(), nil
-}
-
-func (e *emitter) beginBody(dir mir.Dir, refMap map[string]string) {
-	e.lenVars = map[string]string{}
-	if e.zc {
-		e.zcVals = map[string]bool{}
-	}
-	if refMap == nil {
-		refMap = map[string]string{}
-	}
-	e.refMap = refMap
-}
-
-func (e *emitter) emitRetErr() {
-	e.indent++
-	for _, line := range strings.Split(e.retErr, "\n") {
-		e.pf("%s", line)
-	}
-	e.indent--
-}
-
-// emitSubs renders the out-of-line routines of a program into subBuf.
-func (e *emitter) emitSubs(prog *mir.Program, dir mir.Dir) error {
-	for idx, sub := range prog.Subs {
-		name := e.subFuncName(prog, idx, dir)
-		if e.subSeen[name] {
-			continue
-		}
-		e.subSeen[name] = true
-
-		saved := e.b
-		savedLen, savedRef, savedRet := e.lenVars, e.refMap, e.retErr
-		e.b = &strings.Builder{}
-		e.beginBody(dir, map[string]string{"v": "(*v)"})
-		savedProg := e.curProg
-		e.curProg = prog
-
-		ct := ctypeOf(sub.Pres)
-		if dir == mir.Marshal {
-			e.pf("func %s(e *rt.Encoder, v *%s) {", name, ct)
-			e.indent++
-			if err := e.ops(sub.Ops, dir); err != nil {
-				return err
-			}
-			e.indent--
-			e.pf("}")
-			e.pf("")
-		} else {
-			e.retErr = "return false"
-			e.pf("func %s(d *rt.Decoder, v *%s) bool {", name, ct)
-			e.indent++
-			if err := e.ops(sub.Ops, dir); err != nil {
-				return err
-			}
-			e.pf("return d.Err() == nil")
-			e.indent--
-			e.pf("}")
-			e.pf("")
-		}
-		e.subBuf.WriteString(e.b.String())
-		e.b = saved
-		e.curProg = savedProg
-		e.lenVars, e.refMap, e.retErr = savedLen, savedRef, savedRet
 	}
 	return nil
 }
 
-func (e *emitter) subFuncName(prog *mir.Program, idx int, dir mir.Dir) string {
-	base := prog.Subs[idx].Name
-	if dir == mir.Marshal {
-		return "xm" + e.cfg.FuncSuffix + base
+// stubFunc emits f into the file body, then the out-of-line routines its
+// program is the first to call.
+func (e *emitter) stubFunc(f *function, dir mir.Dir) error {
+	f.ops = f.prog.Ops
+	if err := e.emitFunc(&e.body, f, dir); err != nil {
+		return err
 	}
-	return "xu" + e.cfg.FuncSuffix + base
+	return e.emitSubs(f.prog, dir)
+}
+
+// emitFunc opens, fills and closes one generated function in out: the
+// one place a function's state begins and ends.
+func (e *emitter) emitFunc(out *strings.Builder, f *function, dir mir.Dir) error {
+	outerFn, outerB := e.fn, e.b
+	defer func() { e.fn, e.b = outerFn, outerB }()
+	e.fn, e.b = f, out
+	f.lenVars, f.zcVals = map[string]string{}, map[string]bool{}
+	if f.refMap == nil {
+		f.refMap = map[string]string{}
+	}
+	e.pf("%s", f.head)
+	if f.prelude != "" {
+		e.pf("%s", f.prelude)
+	}
+	if err := e.ops(f.ops, dir); err != nil {
+		return err
+	}
+	if f.tail != "" {
+		e.pf("%s", f.tail)
+	}
+	if f.epilogue != nil {
+		if err := f.epilogue(); err != nil {
+			return err
+		}
+	}
+	e.pf("}\n")
+	return nil
+}
+
+// inline emits another program's ops into the function being emitted,
+// with root bound to expr for their extent (a reply's exception arms).
+func (e *emitter) inline(prog *mir.Program, root, expr string) error {
+	outer := e.fn.prog
+	e.fn.prog = prog
+	saved := e.bindElem(root, expr)
+	err := e.ops(prog.Ops, mir.Unmarshal)
+	e.restoreElem(root, saved)
+	e.fn.prog = outer
+	return err
+}
+
+// emitSubs renders the out-of-line routines of a program into subBuf.
+func (e *emitter) emitSubs(prog *mir.Program, dir mir.Dir) error {
+	return e.subs.Each(prog, func(sub *mir.Sub) string { return e.subFuncName(sub, dir) },
+		func(name string, sub *mir.Sub) error {
+			f := &function{prog: prog, ops: sub.Ops, refMap: map[string]string{"v": "(*v)"}}
+			if dir == mir.Marshal {
+				f.head = fmt.Sprintf("func %s(e *rt.Encoder, v *%s) {", name, ctypeOf(sub.Pres))
+			} else {
+				f.head = fmt.Sprintf("func %s(d *rt.Decoder, v *%s) bool {", name, ctypeOf(sub.Pres))
+				f.retErr, f.tail = "return false", "return d.Err() == nil"
+			}
+			return e.emitFunc(&e.subBuf, f, dir)
+		})
+}
+
+func (e *emitter) subFuncName(sub *mir.Sub, dir mir.Dir) string {
+	if dir == mir.Marshal {
+		return "xm" + e.cfg.FuncSuffix + sub.Name
+	}
+	return "xu" + e.cfg.FuncSuffix + sub.Name
 }

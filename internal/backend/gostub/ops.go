@@ -12,14 +12,14 @@ import (
 func (e *emitter) refExpr(r mir.Ref) string {
 	switch r := r.(type) {
 	case *mir.Param:
-		if m, ok := e.refMap[r.Name]; ok {
+		if m, ok := e.fn.refMap[r.Name]; ok {
 			return m
 		}
 		return r.Name
 	case *mir.Field:
 		return e.refExpr(r.Base) + "." + r.Name
 	case *mir.Elem:
-		if m, ok := e.refMap[r.Var]; ok {
+		if m, ok := e.fn.refMap[r.Var]; ok {
 			return m
 		}
 		return r.Var
@@ -37,7 +37,7 @@ func (e *emitter) refExpr(r mir.Ref) string {
 // otherwise.
 func (e *emitter) countExpr(r mir.Ref, dir mir.Dir) string {
 	if dir == mir.Unmarshal {
-		if v, ok := e.lenVars[r.String()]; ok {
+		if v, ok := e.fn.lenVars[r.String()]; ok {
 			return v
 		}
 	}
@@ -134,19 +134,6 @@ func goTypeForAtom(a wire.Atom) string {
 	return fmt.Sprintf("%s%d", prefix, a.Bits)
 }
 
-// putName names the checked put for the given width (used for protocol
-// fields emitted outside mir programs).
-func (e *emitter) putName(w int, checked bool) string {
-	suffix := e.ord()
-	if w == 1 {
-		suffix = ""
-	}
-	if checked {
-		return fmt.Sprintf("e.PutU%d%sC", w*8, suffix)
-	}
-	return fmt.Sprintf("e.PutU%d%s", w*8, suffix)
-}
-
 // ops emits an op list. In -zerocopy mode the decode-side alias bulks
 // of the list are noted first, so the length items that precede them
 // (as siblings in the same list) suppress their allocation: the
@@ -155,12 +142,12 @@ func (e *emitter) ops(ops []mir.Op, dir mir.Dir) error {
 	if e.zc && dir == mir.Unmarshal {
 		for _, op := range ops {
 			if b, ok := op.(*mir.Bulk); ok && e.zcAliasDecode(b) {
-				e.zcVals[b.Val.String()] = true
+				e.fn.zcVals[b.Val.String()] = true
 			}
 		}
 	}
 	for _, op := range ops {
-		if plan := e.curProg.Slab; plan != nil && op == plan.At {
+		if plan := e.fn.prog.Slab; plan != nil && op == plan.At {
 			e.provisionSlab(plan)
 		}
 		if err := e.op(op, dir); err != nil {
@@ -204,7 +191,7 @@ func (e *emitter) zcAliasDecode(op *mir.Bulk) bool {
 // decoded value holds an arena view: a zcAliasDecode bulk addresses
 // them, directly or through a loop element, an optional, a union arm or
 // a subprogram.
-func (e *emitter) borrowedRoots(prog *mir.Program, roots []root) []string {
+func (e *emitter) borrowedRoots(prog *mir.Program, roots []mir.Root) []string {
 	if !e.zc {
 		return nil
 	}
@@ -254,13 +241,8 @@ func (e *emitter) borrowedRoots(prog *mir.Program, roots []root) []string {
 					inner[k] = v
 				}
 				found = walk(op.Body, inner, top) || found
-			case *mir.Opt:
-				found = walk(op.Body, env, top) || found
-			case *mir.Switch:
-				for _, c := range op.Cases {
-					found = walk(c.Body, env, top) || found
-				}
-				found = walk(op.Default, env, top) || found
+			case *mir.Opt, *mir.Switch:
+				mir.Bodies(op, func(body *[]mir.Op) { found = walk(*body, env, top) || found })
 			case *mir.CallSub:
 				if subViews[op.Sub] {
 					see(op.Arg)
@@ -280,8 +262,8 @@ func (e *emitter) borrowedRoots(prog *mir.Program, roots []root) []string {
 	walk(prog.Ops, nil, true)
 	var out []string
 	for _, r := range roots {
-		if marked[r.name] {
-			out = append(out, r.name)
+		if marked[r.Name] {
+			out = append(out, r.Name)
 		}
 	}
 	return out
@@ -296,9 +278,7 @@ func (e *emitter) op(op mir.Op, dir mir.Dir) error {
 		if dir == mir.Marshal {
 			e.pf("e.Grow(%d)", op.Bytes)
 		} else {
-			e.pf("if !d.Ensure(%d) {", op.Bytes)
-			e.emitRetErr()
-			e.pf("}")
+			e.unless("d.Ensure(%d)", op.Bytes)
 		}
 	case *mir.EnsureDyn:
 		if e.checked {
@@ -308,9 +288,7 @@ func (e *emitter) op(op mir.Op, dir mir.Dir) error {
 		if dir == mir.Marshal {
 			e.pf("e.GrowDyn(%d, %d, %s)", op.Base, op.PerElem, count)
 		} else {
-			e.pf("if !d.EnsureDyn(%d, %d, %s) {", op.Base, op.PerElem, count)
-			e.emitRetErr()
-			e.pf("}")
+			e.unless("d.EnsureDyn(%d, %d, %s)", op.Base, op.PerElem, count)
 		}
 	case *mir.Align:
 		if dir == mir.Marshal {
@@ -333,9 +311,7 @@ func (e *emitter) op(op mir.Op, dir mir.Dir) error {
 		if dir == mir.Marshal {
 			e.pf("%s", e.putConst(op.Atom, op.Wire, op.Value))
 		} else {
-			e.pf("if !d.CheckConst(uint64(%s), %d) {", e.getRaw(op.Wire), op.Value)
-			e.emitRetErr()
-			e.pf("}")
+			e.unless("d.CheckConst(uint64(%s), %d)", e.getRaw(op.Wire), op.Value)
 		}
 	case *mir.LenItem:
 		return e.lenItem(op, dir)
@@ -350,14 +326,12 @@ func (e *emitter) op(op mir.Op, dir mir.Dir) error {
 	case *mir.Chunk:
 		return e.chunk(op, dir)
 	case *mir.CallSub:
-		name := e.subFuncName(e.curProg, op.Sub, dir)
+		name := e.subFuncName(e.fn.prog.Subs[op.Sub], dir)
 		arg := e.subArg(op.Arg)
 		if dir == mir.Marshal {
 			e.pf("%s(e, %s)", name, arg)
 		} else {
-			e.pf("if !%s(d, %s) {", name, arg)
-			e.emitRetErr()
-			e.pf("}")
+			e.unless("%s(d, %s)", name, arg)
 		}
 	default:
 		return fmt.Errorf("gostub: unknown op %T", op)
@@ -424,15 +398,11 @@ func (e *emitter) lenItem(op *mir.LenItem, dir mir.Dir) error {
 		bound = op.Bound
 	}
 	if e.checked {
-		e.pf("if !d.Ensure(4) {")
-		e.emitRetErr()
-		e.pf("}")
+		e.unless("d.Ensure(4)")
 	}
 	e.pf("%s, %s := d.Len(rt.%s, %d, %v, %d)", n, ok, e.ord(), bound, op.Nul, op.ElemMin)
-	e.pf("if !%s {", ok)
-	e.emitRetErr()
-	e.pf("}")
-	e.lenVars[op.Val.String()] = n
+	e.unless(ok)
+	e.fn.lenVars[op.Val.String()] = n
 	e.allocCounted(op.Val, ct, n, op.Slab)
 	return nil
 }
@@ -447,7 +417,7 @@ func (e *emitter) allocCounted(val mir.Ref, ct, n string, slab bool) {
 	}
 	x := e.refExpr(val)
 	switch {
-	case e.zc && e.zcVals[val.String()]:
+	case e.zc && e.fn.zcVals[val.String()]:
 	case slab && ct == "[]byte":
 		e.pf("%s = d.SlabBytes(%s)", x, n)
 	case slab:
@@ -491,7 +461,7 @@ func (e *emitter) bulk(op *mir.Bulk, dir mir.Dir) error {
 	// Unmarshal.
 	switch {
 	case over == "string":
-		n, okLen := e.lenVars[op.Val.String()]
+		n, okLen := e.fn.lenVars[op.Val.String()]
 		if !okLen {
 			return fmt.Errorf("gostub: bulk string read without preceding length for %s", x)
 		}
@@ -566,7 +536,7 @@ func (e *emitter) loop(op *mir.Loop, dir mir.Dir) error {
 
 	// Unmarshal into a Go string: decode through a byte scratch.
 	if dir == mir.Unmarshal && overCT == "string" {
-		n, okLen := e.lenVars[op.Over.String()]
+		n, okLen := e.fn.lenVars[op.Over.String()]
 		if !okLen {
 			return fmt.Errorf("gostub: string loop read without preceding length for %s", over)
 		}
@@ -579,74 +549,58 @@ func (e *emitter) loop(op *mir.Loop, dir mir.Dir) error {
 		}
 		e.pf("%s := "+alloc, scratch, n)
 		e.pf("for %s := range %s {", iv, scratch)
-		e.indent++
-		saved := e.bindElem(op.Var, scratch+"["+iv+"]")
-		if err := e.ops(op.Body, dir); err != nil {
+		if err := e.elemOps(op, scratch+"["+iv+"]", dir); err != nil {
 			return err
 		}
-		e.restoreElem(op.Var, saved)
-		e.indent--
-		e.pf("}")
-		e.pf("%s = "+conv, over, scratch)
+		e.pf("}\n%s = "+conv, over, scratch)
 		return nil
 	}
 
 	e.pf("for %s := 0; %s < len(%s); %s++ {", iv, iv, over, iv)
-	e.indent++
-	saved := e.bindElem(op.Var, over+"["+iv+"]")
-	if err := e.ops(op.Body, dir); err != nil {
+	if err := e.elemOps(op, over+"["+iv+"]", dir); err != nil {
 		return err
 	}
-	e.restoreElem(op.Var, saved)
-	e.indent--
 	e.pf("}")
 	return nil
 }
 
+// elemOps emits a loop's body with its element variable bound to expr.
+func (e *emitter) elemOps(op *mir.Loop, expr string, dir mir.Dir) error {
+	saved := e.bindElem(op.Var, expr)
+	defer e.restoreElem(op.Var, saved)
+	return e.ops(op.Body, dir)
+}
+
 func (e *emitter) bindElem(v, expr string) (old string) {
-	old = e.refMap[v]
-	e.refMap[v] = expr
+	old = e.fn.refMap[v]
+	e.fn.refMap[v] = expr
 	return old
 }
 
 func (e *emitter) restoreElem(v, old string) {
 	if old == "" {
-		delete(e.refMap, v)
+		delete(e.fn.refMap, v)
 	} else {
-		e.refMap[v] = old
+		e.fn.refMap[v] = old
 	}
 }
 
 func (e *emitter) opt(op *mir.Opt, dir mir.Dir) error {
 	x := e.refExpr(op.Val)
 	if dir == mir.Marshal {
-		e.pf("if %s != nil {", x)
-		e.indent++
-		e.pf("%s", e.putConst(wire.Bool, op.Wire, 1))
+		e.pf("if %s != nil {\n%s", x, e.putConst(wire.Bool, op.Wire, 1))
 		if err := e.ops(op.Body, dir); err != nil {
 			return err
 		}
-		e.indent--
-		e.pf("} else {")
-		e.indent++
-		e.pf("%s", e.putConst(wire.Bool, op.Wire, 0))
-		e.indent--
-		e.pf("}")
+		e.pf("} else {\n%s\n}", e.putConst(wire.Bool, op.Wire, 0))
 		return nil
 	}
 	elemType := strings.TrimPrefix(ctypeOf(op.Pres), "*")
-	e.pf("if %s != 0 {", e.getRaw(op.Wire))
-	e.indent++
-	e.pf("%s = new(%s)", x, elemType)
+	e.pf("if %s != 0 {\n%s = new(%s)", e.getRaw(op.Wire), x, elemType)
 	if err := e.ops(op.Body, dir); err != nil {
 		return err
 	}
-	e.indent--
-	e.pf("} else {")
-	e.indent++
-	e.pf("%s = nil", x)
-	e.indent--
-	e.pf("}")
+	e.pf("} else {\n%s = nil\n}", x)
 	return nil
 }
 
@@ -679,14 +633,11 @@ func (e *emitter) swtch(op *mir.Switch, dir mir.Dir) error {
 			}
 		}
 		e.pf("case %s:", strings.Join(labels, ", "))
-		e.indent++
 		if err := e.ops(c.Body, dir); err != nil {
 			return err
 		}
-		e.indent--
 	}
 	e.pf("default:")
-	e.indent++
 	switch {
 	case op.HasDefault:
 		if err := e.ops(op.Default, dir); err != nil {
@@ -695,20 +646,10 @@ func (e *emitter) swtch(op *mir.Switch, dir mir.Dir) error {
 	case dir == mir.Marshal:
 		e.pf("panic(\"flick: unknown union discriminator\")")
 	default:
-		e.pf("d.Fail(rt.ErrBadUnion)")
-		e.emitRetErrFlat()
+		e.pf("d.Fail(rt.ErrBadUnion)\n%s", e.fn.retErr)
 	}
-	e.indent--
 	e.pf("}")
 	return nil
-}
-
-// emitRetErrFlat writes the abort sequence at the current indent (for
-// contexts already inside a block).
-func (e *emitter) emitRetErrFlat() {
-	for _, line := range strings.Split(e.retErr, "\n") {
-		e.pf("%s", line)
-	}
 }
 
 func (e *emitter) chunk(op *mir.Chunk, dir mir.Dir) error {
@@ -785,9 +726,7 @@ func (e *emitter) chunkGet(b string, it mir.ChunkItem) error {
 	raw := e.binGet(b, it)
 	switch {
 	case it.Const != nil:
-		e.pf("if !d.CheckConst(uint64(%s), %d) {", raw, *it.Const)
-		e.emitRetErr()
-		e.pf("}")
+		e.unless("d.CheckConst(uint64(%s), %d)", raw, *it.Const)
 	case it.IsLen:
 		ct := ""
 		if it.Pres != nil {
@@ -800,10 +739,8 @@ func (e *emitter) chunkGet(b string, it mir.ChunkItem) error {
 			bound = it.Bound
 		}
 		e.pf("%s, %s := d.CheckLen(%s, %d, %v, %d)", n, ok, raw, bound, it.Nul, it.ElemMin)
-		e.pf("if !%s {", ok)
-		e.emitRetErr()
-		e.pf("}")
-		e.lenVars[it.Val.String()] = n
+		e.unless(ok)
+		e.fn.lenVars[it.Val.String()] = n
 		e.allocCounted(it.Val, ct, n, it.Slab)
 	default:
 		ct := ""

@@ -2,9 +2,9 @@ package gostub
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"flick/internal/backend"
 	"flick/internal/pgen"
 	"flick/internal/pres"
 	"flick/internal/presc"
@@ -29,66 +29,53 @@ func (e *emitter) protoExpr() string {
 	}
 }
 
-func (e *emitter) demuxByName() bool {
-	n := e.cfg.Format.Name()
-	return n == "cdr-be" || n == "cdr-le"
-}
-
 // rpcFuncs renders the client type with the configured presentation
 // surfaces' methods, the server implementation interface, and the
 // Register function installing the dispatch loop. Marshal code is
 // never rendered here — every surface calls the functions the shared
 // MIR walk emitted.
-func (e *emitter) rpcFuncs(iface string, stubs []*presc.Stub) (string, error) {
-	e.b.Reset()
+func (e *emitter) rpcFuncs(iface string, stubs []*presc.Stub) error {
 	base := pgen.GoName(iface) + e.cfg.FuncSuffix
 	clientType := base + "Client"
 	serverIface := base + "Server"
 
 	// --- Client ---
 	if !e.cfg.SurfacesOnly {
-		e.pf("// %s invokes %s operations over a connection.", clientType, iface)
-		e.pf("type %s struct {", clientType)
-		e.indent++
-		e.pf("C *rt.Client")
-		e.indent--
-		e.pf("}")
-		e.pf("")
-		e.pf("// New%s wraps conn with the %s message protocol.", clientType, e.cfg.Format.Name())
-		e.pf("func New%s(conn rt.Conn) *%s {", clientType, clientType)
-		e.indent++
-		e.pf("c := rt.NewClient(conn, %s)", e.protoExpr())
+		ident := ""
 		if len(stubs) > 0 {
-			e.pf("c.Prog = %d", stubs[0].Prog)
-			e.pf("c.Vers = %d", stubs[0].Vers)
+			ident = fmt.Sprintf("c.Prog = %d\nc.Vers = %d\n", stubs[0].Prog, stubs[0].Vers)
 		}
-		e.pf("return &%s{C: c}", clientType)
-		e.indent--
-		e.pf("}")
-		e.pf("")
+		e.pf(`// %[1]s invokes %[2]s operations over a connection.
+type %[1]s struct {
+C *rt.Client
+}
+
+// New%[1]s wraps conn with the %[3]s message protocol.
+func New%[1]s(conn rt.Conn) *%[1]s {
+c := rt.NewClient(conn, %[4]s)
+%[5]sreturn &%[1]s{C: c}
+}
+`, clientType, iface, e.cfg.Format.Name(), e.protoExpr(), ident)
 	}
 
 	for _, sf := range e.surfaces() {
 		if err := sf.clientFuncs(e, clientType, stubs); err != nil {
-			return "", err
+			return err
 		}
 	}
 
 	if e.cfg.SurfacesOnly {
-		return e.b.String(), nil
+		return nil
 	}
 
 	// --- Server interface ---
 	e.pf("// %s is the interface a %s implementation provides.", serverIface, iface)
 	e.borrowDoc(stubs)
 	e.pf("type %s interface {", serverIface)
-	e.indent++
 	for _, s := range stubs {
 		e.pf("%s", serverIfaceLine(s, e.cfg.FuncSuffix))
 	}
-	e.indent--
-	e.pf("}")
-	e.pf("")
+	e.pf("}\n")
 
 	// Sending halves for stream operations (referenced by both the
 	// interface above and the dispatch arms below).
@@ -99,10 +86,8 @@ func (e *emitter) rpcFuncs(iface string, stubs []*presc.Stub) (string, error) {
 	}
 
 	// --- Dispatch ---
-	if err := e.dispatchFunc(base, serverIface, stubs); err != nil {
-		return "", err
-	}
-	return e.b.String(), nil
+	e.dispatchFunc(base, serverIface, stubs)
+	return nil
 }
 
 // callArgs renders the argument expressions passed from method parameters
@@ -114,195 +99,69 @@ func callArgs(params []*presc.ParamPres) []string {
 		if n == nil {
 			n = p.Reply
 		}
-		name := p.Name
-		switch n.Resolve().Kind {
-		case pres.StructKind, pres.UnionKind, pres.FixedArrayKind:
-			out = append(out, "&"+name)
-		default:
-			out = append(out, name)
+		if isAggregate(n) {
+			out = append(out, "&"+p.Name)
+		} else {
+			out = append(out, p.Name)
 		}
 	}
 	return out
 }
 
-func (e *emitter) clientMethod(clientType string, s *presc.Stub) error {
-	prefix := stubPrefix(s) + e.cfg.FuncSuffix
-	sig := s.CDecl.(string)
-	e.pf("// %s invokes the %s operation.", pgen.GoName(s.Op), s.Op)
-	e.pf("func (c *%s) %s {", clientType, sig)
-	e.indent++
-	reqArgs := append([]string{"e"}, callArgs(s.RequestParams())...)
-	// The idempotency flag rides from the IDL's //flick:idempotent
-	// annotation into the runtime's retry policy: only idempotent
-	// operations may be re-sent after an ambiguous failure.
-	if s.Oneway {
-		e.pf("_, err = c.C.CallIdem(%d, %q, true, %v, func(e *rt.Encoder) {", s.OpCode, s.OpName, s.Idempotent)
-	} else {
-		e.pf("var d *rt.Decoder")
-		e.pf("d, err = c.C.CallIdem(%d, %q, false, %v, func(e *rt.Encoder) {", s.OpCode, s.OpName, s.Idempotent)
-	}
-	e.indent++
-	e.pf("Marshal%sRequest(%s)", prefix, strings.Join(reqArgs, ", "))
-	e.indent--
-	e.pf("})")
-	e.pf("if err != nil {")
-	e.indent++
-	e.pf("return")
-	e.indent--
-	e.pf("}")
-	if s.Oneway {
-		e.pf("return")
-	} else {
-		var results []string
-		if s.Result != nil {
-			results = append(results, "ret")
-		}
-		for _, p := range s.ReplyParams() {
-			name := p.Name
-			if p.Role == presc.RoleBoth {
-				name += "Out"
-			}
-			results = append(results, name)
-		}
-		results = append(results, "err")
-		e.pf("%s = Unmarshal%sReply(d)", strings.Join(results, ", "), prefix)
-		// Pooled buffer-ownership contract: the reply decoder belongs
-		// to this call and goes back to the runtime pool once the
-		// results are unmarshaled (they never alias the wire buffer).
-		e.pf("d.Release()")
-		e.pf("return")
-	}
-	e.indent--
-	e.pf("}")
-	e.pf("")
-	return nil
-}
-
-func (e *emitter) dispatchFunc(base, serverIface string, stubs []*presc.Stub) error {
-	e.pf("// Register%s installs the %s dispatcher on s. The dispatch", base, base)
-	e.pf("// decodes the operation discriminator a machine word at a time")
-	e.pf("// (Flick's message demultiplexing).")
-	e.pf("func Register%s(s *rt.Server, impl %s) {", base, serverIface)
-	e.indent++
+func (e *emitter) dispatchFunc(base, serverIface string, stubs []*presc.Stub) {
 	prog, vers := uint32(0), uint32(0)
 	if len(stubs) > 0 {
 		prog, vers = stubs[0].Prog, stubs[0].Vers
 	}
-	e.pf("s.Register(%d, %d, func(h *rt.ReqHeader, d *rt.Decoder, e *rt.Encoder) error {", prog, vers)
-	e.indent++
-	if e.demuxByName() {
-		if err := e.nameDemux(stubs); err != nil {
-			return err
-		}
+	e.pf(`// Register%[1]s installs the %[1]s dispatcher on s. The dispatch
+// decodes the operation discriminator a machine word at a time
+// (Flick's message demultiplexing).
+func Register%[1]s(s *rt.Server, impl %[2]s) {
+s.Register(%[3]d, %[4]d, func(h *rt.ReqHeader, d *rt.Decoder, e *rt.Encoder) error {`, base, serverIface, prog, vers)
+	if backend.DemuxByName(e.cfg.Format) {
+		e.pf("op := h.OpName")
+		e.demux(backend.NewDemux(stubs))
+		e.pf("return rt.ErrNoSuchOp")
 	} else {
 		e.pf("switch h.Proc {")
 		for _, s := range stubs {
 			e.pf("case %d:", s.OpCode)
-			e.indent++
-			if err := e.dispatchArm(s); err != nil {
-				return err
-			}
-			e.indent--
+			e.dispatchArm(s)
 		}
-		e.pf("default:")
-		e.indent++
-		e.pf("return rt.ErrNoSuchOp")
-		e.indent--
-		e.pf("}")
+		e.pf("default:\nreturn rt.ErrNoSuchOp\n}")
 	}
-	e.indent--
-	e.pf("})")
-	e.indent--
-	e.pf("}")
-	e.pf("")
-	return nil
+	e.pf("})\n}\n")
 }
 
-// nameDemux emits nested word-size switches over the operation name: the
-// paper's discriminator hashing, applied to GIOP's string discriminators.
-func (e *emitter) nameDemux(stubs []*presc.Stub) error {
-	byLen := map[int][]*presc.Stub{}
-	for _, s := range stubs {
-		byLen[len(s.OpName)] = append(byLen[len(s.OpName)], s)
+// demux renders the kit's operation-name tree as nested switches: on the
+// name's length, then on its 4-byte words — the paper's discriminator
+// hashing, applied to GIOP's string discriminators.
+func (e *emitter) demux(d *backend.Demux) {
+	if d.Stub != nil {
+		e.dispatchArm(d.Stub)
+		return
 	}
-	var lens []int
-	for l := range byLen {
-		lens = append(lens, l)
+	if d.Off < 0 {
+		e.pf("switch len(op) {")
+	} else {
+		e.pf("switch rt.Word4(op, %d) {", d.Off)
 	}
-	sort.Ints(lens)
-	e.pf("op := h.OpName")
-	e.pf("switch len(op) {")
-	for _, l := range lens {
-		e.pf("case %d:", l)
-		e.indent++
-		if err := e.nameDemuxWords(byLen[l], 0, l); err != nil {
-			return err
+	for _, arm := range d.Arms {
+		if d.Off < 0 {
+			e.pf("case %d:", arm.Key)
+		} else {
+			e.pf("case 0x%08x: // %q", arm.Key, arm.Text)
 		}
-		e.indent--
+		e.demux(arm.Next)
 	}
 	e.pf("}")
-	e.pf("return rt.ErrNoSuchOp")
-	return nil
-}
-
-func (e *emitter) nameDemuxWords(stubs []*presc.Stub, off, total int) error {
-	if off >= total {
-		// Full name matched (names are unique per interface).
-		if len(stubs) != 1 {
-			return fmt.Errorf("gostub: ambiguous operation names %q", stubs[0].OpName)
-		}
-		return e.dispatchArm(stubs[0])
-	}
-	byWord := map[uint32][]*presc.Stub{}
-	var order []uint32
-	for _, s := range stubs {
-		w := word4(s.OpName, off)
-		if _, seen := byWord[w]; !seen {
-			order = append(order, w)
-		}
-		byWord[w] = append(byWord[w], s)
-	}
-	e.pf("switch rt.Word4(op, %d) {", off)
-	for _, w := range order {
-		group := byWord[w]
-		e.pf("case 0x%08x: // %q", w, safeChunk(group[0].OpName, off))
-		e.indent++
-		if err := e.nameDemuxWords(group, off+4, total); err != nil {
-			return err
-		}
-		e.indent--
-	}
-	e.pf("}")
-	if off > 0 {
-		return nil
-	}
-	return nil
-}
-
-func word4(s string, off int) uint32 {
-	var w uint32
-	for i := 0; i < 4 && off+i < len(s); i++ {
-		w |= uint32(s[off+i]) << (24 - 8*i)
-	}
-	return w
-}
-
-func safeChunk(s string, off int) string {
-	end := off + 4
-	if end > len(s) {
-		end = len(s)
-	}
-	if off >= len(s) {
-		return ""
-	}
-	return s[off:end]
 }
 
 // dispatchArm decodes arguments, invokes the implementation, and encodes
 // the reply for one operation.
-func (e *emitter) dispatchArm(s *presc.Stub) error {
+func (e *emitter) dispatchArm(s *presc.Stub) {
 	prefix := stubPrefix(s) + e.cfg.FuncSuffix
-	if !e.demuxByName() {
+	if !backend.DemuxByName(e.cfg.Format) {
 		// Numeric-demux protocols (ONC, Mach, Fluke) leave h.OpName
 		// empty after header decode; label the request so server
 		// metrics and traces report real operation names.
@@ -313,95 +172,47 @@ func (e *emitter) dispatchArm(s *presc.Stub) error {
 		// the dispatcher knows from the IDL that no reply is due.
 		e.pf("h.OneWay = true")
 	}
-	reqs := s.RequestParams()
-	var argNames []string
-	for _, p := range reqs {
-		argNames = append(argNames, "a_"+p.Name)
+	// inout params appear in both args (inputs) and results.
+	var args []string
+	for _, p := range s.RequestParams() {
+		args = append(args, "a_"+p.Name)
 	}
-	if len(reqs) > 0 {
-		e.pf("%s, argErr := Unmarshal%sRequest(d)", strings.Join(argNames, ", "), prefix)
-	} else {
-		e.pf("argErr := Unmarshal%sRequest(d)", prefix)
-	}
-	e.pf("if argErr != nil {")
-	e.indent++
-	e.pf("return argErr")
-	e.indent--
-	e.pf("}")
+	e.pf("%s := Unmarshal%sRequest(d)\nif argErr != nil {\nreturn argErr\n}",
+		strings.Join(append(args, "argErr"), ", "), prefix)
 
 	if s.Stream {
 		// Stream operations push chunks over the oneway path: the
 		// single auto-reply is suppressed only after arguments decode,
 		// so a malformed request still gets a system-error reply.
-		var callIn []string
-		for _, p := range reqs {
-			callIn = append(callIn, "a_"+p.Name)
-		}
-		prefixT := stubPrefix(s) + e.cfg.FuncSuffix
-		e.pf("h.OneWay = true")
-		e.pf("sn := rt.NewStreamSender(h)")
-		e.pf("workErr := impl.%s(%s)", pgen.GoName(s.Op),
-			strings.Join(append(callIn, "&"+prefixT+"ServerStream{st: sn}"), ", "))
-		e.pf("sn.Finish(workErr)")
+		e.pf("h.OneWay = true\nsn := rt.NewStreamSender(h)\nworkErr := impl.%s(%s)\nsn.Finish(workErr)", pgen.GoName(s.Op),
+			strings.Join(append(args, "&"+prefix+"ServerStream{st: sn}"), ", "))
 		e.endBorrow(s)
 		e.pf("return nil")
-		return nil
+		return
 	}
 
-	// Invoke the work function.
-	var results []string
-	if s.Result != nil {
-		results = append(results, "r_ret")
+	// Invoke the work function; its results marshal by address when
+	// they are aggregates.
+	var results, repArgs []string
+	for _, r := range backend.Roots(s, true) {
+		results = append(results, "r_"+r.Name)
+		if isAggregate(r.Pres) {
+			repArgs = append(repArgs, "&r_"+r.Name)
+		} else {
+			repArgs = append(repArgs, "r_"+r.Name)
+		}
 	}
-	for _, p := range s.ReplyParams() {
-		results = append(results, "r_"+p.Name)
-	}
-	results = append(results, "workErr")
-	// inout params appear in both argNames (inputs) and results.
-	var callIn []string
-	for _, p := range reqs {
-		callIn = append(callIn, "a_"+p.Name)
-	}
-	e.pf("%s := impl.%s(%s)", strings.Join(results, ", "), pgen.GoName(s.Op), strings.Join(callIn, ", "))
-	e.pf("if workErr != nil {")
-	e.indent++
+	e.pf("%s := impl.%s(%s)\nif workErr != nil {", strings.Join(append(results, "workErr"), ", "), pgen.GoName(s.Op), strings.Join(args, ", "))
 	for i, exName := range s.ExceptionNames {
-		exType := ctypeOf(s.ExceptionPres[i])
-		e.pf("if ex, ok := workErr.(*%s); ok {", exType)
-		e.indent++
-		e.pf("Marshal%sErr%s(e, ex)", prefix, strings.ReplaceAll(exName, "_", ""))
-		e.pf("return nil")
-		e.indent--
-		e.pf("}")
+		e.pf("if ex, ok := workErr.(*%s); ok {\nMarshal%sErr%s(e, ex)\nreturn nil\n}",
+			ctypeOf(s.ExceptionPres[i]), prefix, strings.ReplaceAll(exName, "_", ""))
 	}
-	e.pf("return workErr")
-	e.indent--
-	e.pf("}")
-	if s.Oneway {
-		e.endBorrow(s)
-		e.pf("return nil")
-		return nil
+	e.pf("return workErr\n}")
+	if !s.Oneway {
+		e.pf("Marshal%sReply(%s)", prefix, strings.Join(append([]string{"e"}, repArgs...), ", "))
 	}
-	// Marshal the success reply (aggregates by address).
-	var repArgs []string
-	if s.Result != nil {
-		if isAggregate(s.Result.Reply) {
-			repArgs = append(repArgs, "&r_ret")
-		} else {
-			repArgs = append(repArgs, "r_ret")
-		}
-	}
-	for _, p := range s.ReplyParams() {
-		if isAggregate(p.Reply) {
-			repArgs = append(repArgs, "&r_"+p.Name)
-		} else {
-			repArgs = append(repArgs, "r_"+p.Name)
-		}
-	}
-	e.pf("Marshal%sReply(%s)", prefix, strings.Join(append([]string{"e"}, repArgs...), ", "))
 	e.endBorrow(s)
 	e.pf("return nil")
-	return nil
 }
 
 // endBorrow emits, in a dispatch arm whose request unmarshal handed out
@@ -435,17 +246,18 @@ func (e *emitter) borrowDoc(stubs []*presc.Stub) {
 		}
 		if first {
 			first = false
-			e.pf("//")
-			e.pf("// The arguments named below alias the request's receive buffer and are")
-			e.pf("// valid only until the method returns: an implementation that keeps")
-			e.pf("// the bytes copies them (append([]byte(nil), data...)), and must not")
-			e.pf("// store the argument itself, send it or hand it to a goroutine.")
-			e.pf("//")
+			e.pf(`//
+// The arguments named below alias the request's receive buffer and are
+// valid only until the method returns: an implementation that keeps
+// the bytes copies them (append([]byte(nil), data...)), and must not
+// store the argument itself, send it or hand it to a goroutine.
+//`)
 		}
 		e.pf("//flick:borrowed %s %s", pgen.GoName(s.Op), strings.Join(names, " "))
 	}
 }
 
+// isAggregate reports the presented kinds the stubs pass by pointer.
 func isAggregate(n *pres.Node) bool {
 	if n == nil {
 		return false

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"flick/internal/pgen"
+	"flick/internal/pres"
 	"flick/internal/presc"
 )
 
@@ -81,62 +82,52 @@ func (e *emitter) surfaces() []Surface {
 func inParamDecls(s *presc.Stub) []string {
 	var out []string
 	for _, p := range s.RequestParams() {
-		ct, _ := p.CType.(string)
-		if ct == "" {
-			n := p.Request
-			if n == nil {
-				n = p.Reply
-			}
-			ct = ctypeOf(n)
-		}
-		out = append(out, p.Name+" "+ct)
+		out = append(out, p.Name+" "+paramCType(p, p.Request))
 	}
 	return out
 }
 
-// replyResultDecls renders the reply-side result declarations of a
-// stub (ret first, then out/inout params with the sync signature's
-// "Out" suffix for inout, then err).
-func replyResultDecls(s *presc.Stub) []string {
-	var out []string
+// paramCType is a parameter's presented type spelling.
+func paramCType(p *presc.ParamPres, n *pres.Node) string {
+	if ct, _ := p.CType.(string); ct != "" {
+		return ct
+	}
+	return ctypeOf(n)
+}
+
+// replyResults renders the reply side of a stub's method signature: the
+// result declarations (ret first, then out/inout params with the sync
+// signature's "Out" suffix for inout, then err), and the assignment
+// targets matching them for the `ret, x, err = Unmarshal...Reply(d)`
+// line.
+func replyResults(s *presc.Stub) (decls, names []string) {
 	if s.Result != nil {
-		ct, _ := s.Result.CType.(string)
-		if ct == "" {
-			ct = ctypeOf(s.Result.Reply)
-		}
-		out = append(out, "ret "+ct)
+		decls, names = append(decls, "ret "+paramCType(s.Result, s.Result.Reply)), append(names, "ret")
 	}
 	for _, p := range s.ReplyParams() {
 		name := p.Name
 		if p.Role == presc.RoleBoth {
 			name += "Out"
 		}
-		ct, _ := p.CType.(string)
-		if ct == "" {
-			ct = ctypeOf(p.Reply)
-		}
-		out = append(out, name+" "+ct)
+		decls, names = append(decls, name+" "+paramCType(p, p.Reply)), append(names, name)
 	}
-	out = append(out, "err error")
-	return out
+	return append(decls, "err error"), append(names, "err")
 }
 
-// replyResultNames lists the assignment targets matching
-// replyResultDecls, for the `ret, x, err = Unmarshal...Reply(d)` line.
-func replyResultNames(s *presc.Stub) []string {
-	var out []string
-	if s.Result != nil {
-		out = append(out, "ret")
-	}
-	for _, p := range s.ReplyParams() {
-		name := p.Name
-		if p.Role == presc.RoleBoth {
-			name += "Out"
-		}
-		out = append(out, name)
-	}
-	out = append(out, "err")
-	return out
+// requestFn renders the closure a call hands the runtime to marshal the
+// stub's request (aggregates by address).
+func (e *emitter) requestFn(s *presc.Stub) string {
+	args := append([]string{"e"}, callArgs(s.RequestParams())...)
+	return fmt.Sprintf("func(e *rt.Encoder) {\nMarshal%s%sRequest(%s)\n}", stubPrefix(s), e.cfg.FuncSuffix, strings.Join(args, ", "))
+}
+
+// replyTail emits what every reply-bearing surface ends in: obtain the
+// reply decoder from wait, decode it with unmarshal into results, and
+// return. Pooled buffer-ownership contract: the decoder belongs to this
+// call and goes back to the runtime pool once the results are
+// unmarshaled (they never alias the wire buffer).
+func (e *emitter) replyTail(wait, results, unmarshal string) {
+	e.pf("var d *rt.Decoder\nd, err = %s\nif err != nil {\nreturn\n}\n%s = %s(d)\nd.Release()\nreturn\n}\n", wait, results, unmarshal)
 }
 
 // SyncSurface is the classic blocking presentation: one method per
@@ -148,16 +139,46 @@ func (SyncSurface) Name() string { return "sync" }
 
 func (SyncSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) error {
 	for _, s := range stubs {
-		if s.Stream {
-			// Stream operations have no single-reply shape; they are
-			// presented by StreamSurface.
-			continue
-		}
-		if err := e.clientMethod(clientType, s); err != nil {
-			return err
+		// Stream operations have no single-reply shape; they are
+		// presented by StreamSurface.
+		if !s.Stream {
+			e.callMethod(clientType, s, false)
 		}
 	}
 	return nil
+}
+
+// callMethod emits the blocking call of one operation: the sync method,
+// or with ctx its <Op>Ctx variant, which differs by the context
+// parameter and the runtime entry point that takes it.
+func (e *emitter) callMethod(clientType string, s *presc.Stub, ctx bool) {
+	goOp := pgen.GoName(s.Op)
+	sig, entry := s.CDecl.(string), "CallIdem("
+	if !ctx {
+		e.pf("// %s invokes the %s operation.", goOp, s.Op)
+	} else {
+		e.usesContext = true
+		decls, _ := replyResults(s)
+		params := append([]string{"ctx context.Context"}, inParamDecls(s)...)
+		sig = fmt.Sprintf("%sCtx(%s) (%s)", goOp, strings.Join(params, ", "), strings.Join(decls, ", "))
+		entry = "CallIdemCtx(ctx, "
+		e.pf(`// %sCtx invokes the %s operation under a caller context:
+// the context's deadline travels on the wire and bounds the
+// server-side work, its trace is continued, and cancellation
+// aborts the reply wait while a cancel frame releases the
+// server-side work.`, goOp, s.Op)
+	}
+	// The idempotency flag rides from the IDL's //flick:idempotent
+	// annotation into the runtime's retry policy: only idempotent
+	// operations may be re-sent after an ambiguous failure.
+	call := fmt.Sprintf("c.C.%s%d, %q, %v, %v, %s)", entry, s.OpCode, s.OpName, s.Oneway, s.Idempotent, e.requestFn(s))
+	e.pf("func (c *%s) %s {", clientType, sig)
+	if s.Oneway {
+		e.pf("_, err = %s\nif err != nil {\nreturn\n}\nreturn\n}\n", call)
+		return
+	}
+	_, names := replyResults(s)
+	e.replyTail(call, strings.Join(names, ", "), "Unmarshal"+stubPrefix(s)+e.cfg.FuncSuffix+"Reply")
 }
 
 // AsyncSurface is the promise presentation: <Op>Async marshals and
@@ -170,12 +191,11 @@ func (AsyncSurface) Name() string { return "async" }
 
 func (AsyncSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) error {
 	for _, s := range stubs {
-		if s.Stream || s.Oneway {
-			// Oneway calls have nothing to resolve; streams have their
-			// own surface.
-			continue
+		// Oneway calls have nothing to resolve; streams have their own
+		// surface.
+		if !s.Stream && !s.Oneway {
+			e.asyncMethod(clientType, s)
 		}
-		e.asyncMethod(clientType, s)
 	}
 	return nil
 }
@@ -184,51 +204,28 @@ func (e *emitter) asyncMethod(clientType string, s *presc.Stub) {
 	prefix := stubPrefix(s) + e.cfg.FuncSuffix
 	promiseType := prefix + "Promise"
 	goOp := pgen.GoName(s.Op)
-	reqArgs := append([]string{"e"}, callArgs(s.RequestParams())...)
+	decls, names := replyResults(s)
 
-	e.pf("// %sAsync begins the %s operation without waiting for the", goOp, s.Op)
-	e.pf("// reply: the request is marshaled and transmitted before this")
-	e.pf("// method returns, and the promise resolves when Wait collects")
-	e.pf("// the reply from the session's multiplexer.")
-	e.pf("func (c *%s) %sAsync(%s) *%s {", clientType, goOp, strings.Join(inParamDecls(s), ", "), promiseType)
-	e.indent++
-	e.pf("return &%s{p: c.C.CallAsync(%d, %q, %v, func(e *rt.Encoder) {", promiseType, s.OpCode, s.OpName, s.Idempotent)
-	e.indent++
-	e.pf("Marshal%sRequest(%s)", prefix, strings.Join(reqArgs, ", "))
-	e.indent--
-	e.pf("})}")
-	e.indent--
-	e.pf("}")
-	e.pf("")
+	e.pf(`// %[1]sAsync begins the %[2]s operation without waiting for the
+// reply: the request is marshaled and transmitted before this
+// method returns, and the promise resolves when Wait collects
+// the reply from the session's multiplexer.
+func (c *%[3]s) %[1]sAsync(%[4]s) *%[5]s {
+return &%[5]s{p: c.C.CallAsync(%[6]d, %[7]q, %[8]v, %[9]s)}
+}
 
-	e.pf("// %s is one in-flight %s invocation.", promiseType, s.Op)
-	e.pf("type %s struct {", promiseType)
-	e.indent++
-	e.pf("p *rt.Promise")
-	e.indent--
-	e.pf("}")
-	e.pf("")
-	e.pf("// Wait blocks until the reply arrives and decodes it. The retry")
-	e.pf("// and error classification are the sync path's, applied at")
-	e.pf("// resolution time; Wait settles the promise and may be called")
-	e.pf("// once.")
-	e.pf("func (pr *%s) Wait() (%s) {", promiseType, strings.Join(replyResultDecls(s), ", "))
-	e.indent++
-	e.pf("var d *rt.Decoder")
-	e.pf("d, err = pr.p.Wait()")
-	e.pf("if err != nil {")
-	e.indent++
-	e.pf("return")
-	e.indent--
-	e.pf("}")
-	e.pf("%s = Unmarshal%sReply(d)", strings.Join(replyResultNames(s), ", "), prefix)
-	// Same pooled-ownership contract as the sync stub: the decoder goes
-	// back to the pool once results are unmarshaled.
-	e.pf("d.Release()")
-	e.pf("return")
-	e.indent--
-	e.pf("}")
-	e.pf("")
+// %[5]s is one in-flight %[2]s invocation.
+type %[5]s struct {
+p *rt.Promise
+}
+
+// Wait blocks until the reply arrives and decodes it. The retry
+// and error classification are the sync path's, applied at
+// resolution time; Wait settles the promise and may be called
+// once.
+func (pr *%[5]s) Wait() (%[10]s) {`, goOp, s.Op, clientType, strings.Join(inParamDecls(s), ", "), promiseType,
+		s.OpCode, s.OpName, s.Idempotent, e.requestFn(s), strings.Join(decls, ", "))
+	e.replyTail("pr.p.Wait()", strings.Join(names, ", "), "Unmarshal"+prefix+"Reply")
 }
 
 // CtxSurface is the context presentation: <Op>Ctx takes a caller
@@ -246,53 +243,11 @@ func (CtxSurface) Name() string { return "ctx" }
 
 func (CtxSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) error {
 	for _, s := range stubs {
-		if s.Stream {
-			continue
+		if !s.Stream {
+			e.callMethod(clientType, s, true)
 		}
-		e.ctxMethod(clientType, s)
 	}
 	return nil
-}
-
-func (e *emitter) ctxMethod(clientType string, s *presc.Stub) {
-	e.usesContext = true
-	prefix := stubPrefix(s) + e.cfg.FuncSuffix
-	goOp := pgen.GoName(s.Op)
-	reqArgs := append([]string{"e"}, callArgs(s.RequestParams())...)
-	params := append([]string{"ctx context.Context"}, inParamDecls(s)...)
-
-	e.pf("// %sCtx invokes the %s operation under a caller context:", goOp, s.Op)
-	e.pf("// the context's deadline travels on the wire and bounds the")
-	e.pf("// server-side work, its trace is continued, and cancellation")
-	e.pf("// aborts the reply wait while a cancel frame releases the")
-	e.pf("// server-side work.")
-	e.pf("func (c *%s) %sCtx(%s) (%s) {", clientType, goOp, strings.Join(params, ", "), strings.Join(replyResultDecls(s), ", "))
-	e.indent++
-	if s.Oneway {
-		e.pf("_, err = c.C.CallIdemCtx(ctx, %d, %q, true, %v, func(e *rt.Encoder) {", s.OpCode, s.OpName, s.Idempotent)
-	} else {
-		e.pf("var d *rt.Decoder")
-		e.pf("d, err = c.C.CallIdemCtx(ctx, %d, %q, false, %v, func(e *rt.Encoder) {", s.OpCode, s.OpName, s.Idempotent)
-	}
-	e.indent++
-	e.pf("Marshal%sRequest(%s)", prefix, strings.Join(reqArgs, ", "))
-	e.indent--
-	e.pf("})")
-	e.pf("if err != nil {")
-	e.indent++
-	e.pf("return")
-	e.indent--
-	e.pf("}")
-	if s.Oneway {
-		e.pf("return")
-	} else {
-		e.pf("%s = Unmarshal%sReply(d)", strings.Join(replyResultNames(s), ", "), prefix)
-		e.pf("d.Release()")
-		e.pf("return")
-	}
-	e.indent--
-	e.pf("}")
-	e.pf("")
 }
 
 // StreamSurface is the server-push presentation for //flick:stream
@@ -304,89 +259,61 @@ func (StreamSurface) Name() string { return "stream" }
 
 func (StreamSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) error {
 	for _, s := range stubs {
-		if !s.Stream {
-			continue
+		if s.Stream {
+			e.streamMethod(clientType, s)
 		}
-		e.streamMethod(clientType, s)
 	}
 	return nil
 }
 
-// chunkDecl renders the chunk parameter declaration and marshal
-// argument for a stream stub's Send method (aggregates by pointer,
-// mirroring the marshal function's parameter shape).
-func chunkDecl(s *presc.Stub) (decl, arg, ctype string) {
-	ct, _ := s.Result.CType.(string)
-	if ct == "" {
-		ct = ctypeOf(s.Result.Reply)
-	}
+// chunkDecl renders the chunk parameter declaration of a stream stub's
+// Send method (aggregates by pointer, mirroring the marshal function's
+// parameter shape) and the chunk's type.
+func chunkDecl(s *presc.Stub) (decl, ctype string) {
+	ct := paramCType(s.Result, s.Result.Reply)
 	if isAggregate(s.Result.Reply) {
-		return "v *" + ct, "v", ct
+		return "v *" + ct, ct
 	}
-	return "v " + ct, "v", ct
+	return "v " + ct, ct
 }
 
 func (e *emitter) streamMethod(clientType string, s *presc.Stub) {
 	prefix := stubPrefix(s) + e.cfg.FuncSuffix
 	streamType := prefix + "Stream"
 	goOp := pgen.GoName(s.Op)
-	reqArgs := append([]string{"e"}, callArgs(s.RequestParams())...)
 	params := append(inParamDecls(s), "window int")
-	_, _, chunkType := chunkDecl(s)
+	_, chunkType := chunkDecl(s)
 
-	e.pf("// %sStream begins the %s server-push stream with a credit", goOp, s.Op)
-	e.pf("// window of the given number of chunks. A window of 0 blocks the")
-	e.pf("// server's first Send until Grant extends credit (pure")
-	e.pf("// backpressure).")
-	e.pf("func (c *%s) %sStream(%s) (*%s, error) {", clientType, goOp, strings.Join(params, ", "), streamType)
-	e.indent++
-	e.pf("st, err := c.C.CallStream(%d, %q, window, func(e *rt.Encoder) {", s.OpCode, s.OpName)
-	e.indent++
-	e.pf("Marshal%sRequest(%s)", prefix, strings.Join(reqArgs, ", "))
-	e.indent--
-	e.pf("})")
-	e.pf("if err != nil {")
-	e.indent++
-	e.pf("return nil, err")
-	e.indent--
-	e.pf("}")
-	e.pf("return &%s{st: st}, nil", streamType)
-	e.indent--
-	e.pf("}")
-	e.pf("")
+	e.pf(`// %[1]sStream begins the %[2]s server-push stream with a credit
+// window of the given number of chunks. A window of 0 blocks the
+// server's first Send until Grant extends credit (pure
+// backpressure).
+func (c *%[3]s) %[1]sStream(%[4]s) (*%[5]s, error) {
+st, err := c.C.CallStream(%[6]d, %[7]q, window, %[8]s)
+if err != nil {
+return nil, err
+}
+return &%[5]s{st: st}, nil
+}
 
-	e.pf("// %s is the receiving half of a %s stream. It is not", streamType, s.Op)
-	e.pf("// safe for concurrent Recv.")
-	e.pf("type %s struct {", streamType)
-	e.indent++
-	e.pf("st *rt.ClientStream")
-	e.indent--
-	e.pf("}")
-	e.pf("")
-	e.pf("// Recv returns the next chunk; io.EOF reports a clean end of")
-	e.pf("// stream, any other error a classified teardown.")
-	e.pf("func (s *%s) Recv() (ret %s, err error) {", streamType, chunkType)
-	e.indent++
-	e.pf("var d *rt.Decoder")
-	e.pf("d, err = s.st.Recv()")
-	e.pf("if err != nil {")
-	e.indent++
-	e.pf("return")
-	e.indent--
-	e.pf("}")
-	e.pf("ret, err = Unmarshal%sChunk(d)", prefix)
-	e.pf("d.Release()")
-	e.pf("return")
-	e.indent--
-	e.pf("}")
-	e.pf("")
-	e.pf("// Grant extends the server's credit window by n chunks.")
-	e.pf("func (s *%s) Grant(n int) error { return s.st.Grant(n) }", streamType)
-	e.pf("")
-	e.pf("// Cancel tears the stream down and releases any undelivered")
-	e.pf("// chunks; Recv afterwards reports the cancellation.")
-	e.pf("func (s *%s) Cancel() { s.st.Cancel() }", streamType)
-	e.pf("")
+// %[5]s is the receiving half of a %[2]s stream. It is not
+// safe for concurrent Recv.
+type %[5]s struct {
+st *rt.ClientStream
+}
+
+// Recv returns the next chunk; io.EOF reports a clean end of
+// stream, any other error a classified teardown.
+func (s *%[5]s) Recv() (ret %[9]s, err error) {`, goOp, s.Op, clientType, strings.Join(params, ", "), streamType,
+		s.OpCode, s.OpName, e.requestFn(s), chunkType)
+	e.replyTail("s.st.Recv()", "ret, err", "Unmarshal"+prefix+"Chunk")
+	e.pf(`// Grant extends the server's credit window by n chunks.
+func (s *%[1]s) Grant(n int) error { return s.st.Grant(n) }
+
+// Cancel tears the stream down and releases any undelivered
+// chunks; Recv afterwards reports the cancellation.
+func (s *%[1]s) Cancel() { s.st.Cancel() }
+`, streamType)
 }
 
 // serverStreamType emits the sending half handed to a stream
@@ -394,29 +321,22 @@ func (e *emitter) streamMethod(clientType string, s *presc.Stub) {
 // marshals each chunk with the shared MIR-generated code.
 func (e *emitter) serverStreamType(s *presc.Stub) {
 	prefix := stubPrefix(s) + e.cfg.FuncSuffix
-	typeName := prefix + "ServerStream"
-	decl, arg, _ := chunkDecl(s)
-	e.pf("// %s is the sending half of a %s stream, handed to", typeName, s.Op)
-	e.pf("// the work function by the dispatcher.")
-	e.pf("type %s struct {", typeName)
-	e.indent++
-	e.pf("st *rt.StreamSender")
-	e.indent--
-	e.pf("}")
-	e.pf("")
-	e.pf("// Send pushes one chunk, blocking while the client's credit")
-	e.pf("// window is exhausted (backpressure) and failing once the stream")
-	e.pf("// is canceled or torn down.")
-	e.pf("func (s *%s) Send(%s) error {", typeName, decl)
-	e.indent++
-	e.pf("return s.st.Send(func(e *rt.Encoder) {")
-	e.indent++
-	e.pf("Marshal%sChunk(e, %s)", prefix, arg)
-	e.indent--
-	e.pf("})")
-	e.indent--
-	e.pf("}")
-	e.pf("")
+	decl, _ := chunkDecl(s)
+	e.pf(`// %[1]sServerStream is the sending half of a %[2]s stream, handed to
+// the work function by the dispatcher.
+type %[1]sServerStream struct {
+st *rt.StreamSender
+}
+
+// Send pushes one chunk, blocking while the client's credit
+// window is exhausted (backpressure) and failing once the stream
+// is canceled or torn down.
+func (s *%[1]sServerStream) Send(%[3]s) error {
+return s.st.Send(func(e *rt.Encoder) {
+Marshal%[1]sChunk(e, v)
+})
+}
+`, prefix, s.Op, decl)
 }
 
 // serverIfaceLine renders one operation's line in the server
