@@ -1,12 +1,12 @@
 # Flick-Go build targets. `make ci` is the full gate: vet, build, the
 # flick-lint ownership analyzers, race-enabled tests (which include the
-# rt allocation guard), rt once more under the portable bulk kernels,
-# the benchmark module's own vet and self-tests, and the generated-stub
-# and golden drift check.
+# rt allocation guard and the corpus digests), rt once more under the
+# portable bulk kernels, the benchmark module's own vet and self-tests,
+# Table 1 with its ratchet, and the generated-stub and golden drift check.
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race test-portable test-bench bench bench-rt bench-json generate generate-check stats ci
+.PHONY: all build vet lint test test-race test-portable test-bench loc bench bench-rt bench-json generate generate-check stats ci
 
 all: build
 
@@ -44,6 +44,13 @@ test-portable:
 test-bench:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
+
+# Table 1 (code reuse per compiler phase; fails on a missing component
+# path), then the ratchet beside it: no specialized component past its
+# recorded ceiling.
+loc:
+	$(GO) run ./cmd/flick-loc
+	$(GO) test -count=1 ./cmd/flick-loc
 
 # Root-level benchmarks (the paper's tables/figures as testing.B).
 bench:
@@ -131,7 +138,9 @@ bench-json:
 	$(GO) run ./cmd/flick-bench -exp hedge -json > BENCH_hedge.json
 
 # Every committed stub package (its gen.go lines) and both back ends'
-# golden files.
+# golden files. The corpus digests (testdata/corpus.sha256) are not
+# regenerated here: they are the byte-identity reference refactors are
+# held to, rewritten only on purpose with `go test . -run Corpus -update`.
 generate:
 	$(GO) generate ./...
 	$(GO) test ./internal/backend/gostub ./internal/backend/cstub -run Golden -update
@@ -148,4 +157,4 @@ stats:
 	$(GO) run ./cmd/flick-bench -exp pipeline
 	$(GO) run ./cmd/flick-stats -rounds 50
 
-ci: vet build lint test-race test-portable test-bench generate-check
+ci: vet build lint test-race test-portable test-bench loc generate-check

@@ -208,10 +208,23 @@ func Compile(filename, src string, opt Options) (string, error) {
 		}
 	}
 
-	if opt.ZeroCopy {
-		if opt.Lang != "" && opt.Lang != "go" {
-			return "", fmt.Errorf("flick: -zerocopy targets the Go runtime's alias paths; use -lang go")
+	// What only the Go back end implements is refused for another target,
+	// not silently ignored.
+	if opt.Lang != "go" {
+		for _, goOnly := range []struct {
+			set       bool
+			flag, why string
+		}{
+			{opt.ZeroCopy, "-zerocopy", "targets the Go runtime's alias paths"},
+			{opt.Surfaces != "", "-surfaces", "selects presentations of the generated Go client"},
+			{opt.SurfacesOnly, "-surfaces-only", "adds surface shells to a generated Go package"},
+		} {
+			if goOnly.set {
+				return "", fmt.Errorf("flick: %s %s; use -lang go", goOnly.flag, goOnly.why)
+			}
 		}
+	}
+	if opt.ZeroCopy {
 		if s := opt.Style; s != "" && s != "flick" {
 			return "", fmt.Errorf("flick: -zerocopy requires the optimizing style (got %q)", s)
 		}

@@ -117,6 +117,38 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestGoOnlyOptionsRefusedForC: an option only the Go back end implements
+// is an error with any other target, never silently dropped.
+func TestGoOnlyOptionsRefusedForC(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  flick.Options
+		want string
+	}{
+		{"zerocopy", flick.Options{ZeroCopy: true}, "-zerocopy"},
+		{"surfaces", flick.Options{Surfaces: "async"}, "-surfaces "},
+		{"surfaces sync", flick.Options{Surfaces: "sync"}, "-surfaces "},
+		{"surfaces-only", flick.Options{SurfacesOnly: true}, "-surfaces-only"},
+		{"surfaces and surfaces-only", flick.Options{Surfaces: "sync,ctx", SurfacesOnly: true}, "-surfaces "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, in := range []struct{ file, src string }{{"m.idl", mailCorba}, {"m.x", mailONC}} {
+				opt := tc.opt
+				opt.Lang = "c"
+				_, err := flick.Compile(in.file, in.src, opt)
+				if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "use -lang go") {
+					t.Errorf("%s -lang c: err = %v, want a refusal naming %q", in.file, err, tc.want)
+				}
+				// The same options are the Go back end's to accept.
+				opt.Lang, opt.EmitRPC = "go", true
+				if _, err := flick.Compile(in.file, in.src, opt); err != nil {
+					t.Errorf("%s -lang go: %v", in.file, err)
+				}
+			}
+		})
+	}
+}
+
 func TestGeneratedGoCompilesUnderGofmtAssumptions(t *testing.T) {
 	// Generated Go must at least be balanced and contain the DO NOT
 	// EDIT marker; real compilation is covered by the committed

@@ -255,9 +255,17 @@ func (e *emitter) pf(format string, args ...any) {
 	e.b.WriteByte('\n')
 }
 
+// p writes already formatted lines of generated code.
+func (e *emitter) p(text string) {
+	e.b.WriteString(text)
+	e.b.WriteByte('\n')
+}
+
 // unless aborts the function being emitted when cond does not hold.
 func (e *emitter) unless(cond string, args ...any) {
-	e.pf("if !"+cond+" {\n%s\n}", append(args, e.fn.retErr)...)
+	e.b.WriteString("if !")
+	fmt.Fprintf(e.b, cond, args...)
+	e.p(" {\n" + e.fn.retErr + "\n}")
 }
 
 func (e *emitter) ord() string {
@@ -294,9 +302,7 @@ func (e *emitter) file(f *presc.File) (string, error) {
 	if e.cfg.EmitRPC {
 		// Client stubs and server dispatch, one set per interface.
 		for _, iface := range backend.Interfaces(f) {
-			if err := e.rpcFuncs(iface.Name, iface.Stubs); err != nil {
-				return "", fmt.Errorf("gostub: interface %s: %w", iface.Name, err)
-			}
+			e.rpcFuncs(iface.Name, iface.Stubs)
 		}
 	}
 
@@ -509,26 +515,29 @@ func (e *emitter) emitFunc(out *strings.Builder, f *function, dir mir.Dir) error
 	outerFn, outerB := e.fn, e.b
 	defer func() { e.fn, e.b = outerFn, outerB }()
 	e.fn, e.b = f, out
-	f.lenVars, f.zcVals = map[string]string{}, map[string]bool{}
+	f.lenVars = map[string]string{}
+	if e.zc {
+		f.zcVals = map[string]bool{}
+	}
 	if f.refMap == nil {
 		f.refMap = map[string]string{}
 	}
-	e.pf("%s", f.head)
+	e.p(f.head)
 	if f.prelude != "" {
-		e.pf("%s", f.prelude)
+		e.p(f.prelude)
 	}
 	if err := e.ops(f.ops, dir); err != nil {
 		return err
 	}
 	if f.tail != "" {
-		e.pf("%s", f.tail)
+		e.p(f.tail)
 	}
 	if f.epilogue != nil {
 		if err := f.epilogue(); err != nil {
 			return err
 		}
 	}
-	e.pf("}\n")
+	e.p("}\n")
 	return nil
 }
 

@@ -299,7 +299,7 @@ func (e *emitter) op(op mir.Op, dir mir.Dir) error {
 	case *mir.Item:
 		x := e.refExpr(op.Val)
 		if dir == mir.Marshal {
-			e.pf("%s", e.putStmt(op.Atom, op.Wire, x))
+			e.p(e.putStmt(op.Atom, op.Wire, x))
 		} else {
 			ct := ""
 			if op.Pres != nil {
@@ -309,7 +309,7 @@ func (e *emitter) op(op mir.Op, dir mir.Dir) error {
 		}
 	case *mir.ConstItem:
 		if dir == mir.Marshal {
-			e.pf("%s", e.putConst(op.Atom, op.Wire, op.Value))
+			e.p(e.putConst(op.Atom, op.Wire, op.Value))
 		} else {
 			e.unless("d.CheckConst(uint64(%s), %d)", e.getRaw(op.Wire), op.Value)
 		}
@@ -608,7 +608,7 @@ func (e *emitter) swtch(op *mir.Switch, dir mir.Dir) error {
 	on := e.refExpr(op.On)
 	isBool := op.Atom.Kind == wire.BoolAtom
 	if dir == mir.Marshal {
-		e.pf("%s", e.putStmt(op.Atom, op.Wire, on))
+		e.p(e.putStmt(op.Atom, op.Wire, on))
 	} else {
 		ct := ""
 		if op.Pres != nil {
@@ -677,7 +677,7 @@ func (e *emitter) chunkPut(b string, it mir.ChunkItem) error {
 	window := fmt.Sprintf("%s[%d:]", b, it.Off)
 	switch {
 	case it.Const != nil:
-		e.pf("%s", e.binPut(window, b, it, fmt.Sprintf("%d", *it.Const)))
+		e.p(e.binPut(window, b, it, fmt.Sprintf("%d", *it.Const)))
 	case it.IsLen:
 		x := e.refExpr(it.Val)
 		if it.Bound > 0 && it.Bound < uint64(0xFFFFFFFF) {
@@ -687,10 +687,10 @@ func (e *emitter) chunkPut(b string, it mir.ChunkItem) error {
 		if it.Nul {
 			src = fmt.Sprintf("uint32(len(%s)+1)", x)
 		}
-		e.pf("%s", e.binPut(window, b, it, src))
+		e.p(e.binPut(window, b, it, src))
 	default:
 		v := e.convPut(it.Atom, it.Wire, e.refExpr(it.Val))
-		e.pf("%s", e.binPut(window, b, it, v))
+		e.p(e.binPut(window, b, it, v))
 	}
 	return nil
 }

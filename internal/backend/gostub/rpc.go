@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"flick/internal/backend"
+	"flick/internal/mir"
 	"flick/internal/pgen"
 	"flick/internal/pres"
 	"flick/internal/presc"
@@ -34,7 +35,7 @@ func (e *emitter) protoExpr() string {
 // Register function installing the dispatch loop. Marshal code is
 // never rendered here — every surface calls the functions the shared
 // MIR walk emitted.
-func (e *emitter) rpcFuncs(iface string, stubs []*presc.Stub) error {
+func (e *emitter) rpcFuncs(iface string, stubs []*presc.Stub) {
 	base := pgen.GoName(iface) + e.cfg.FuncSuffix
 	clientType := base + "Client"
 	serverIface := base + "Server"
@@ -59,13 +60,10 @@ c := rt.NewClient(conn, %[4]s)
 	}
 
 	for _, sf := range e.surfaces() {
-		if err := sf.clientFuncs(e, clientType, stubs); err != nil {
-			return err
-		}
+		sf.clientFuncs(e, clientType, stubs)
 	}
-
 	if e.cfg.SurfacesOnly {
-		return nil
+		return
 	}
 
 	// --- Server interface ---
@@ -73,7 +71,7 @@ c := rt.NewClient(conn, %[4]s)
 	e.borrowDoc(stubs)
 	e.pf("type %s interface {", serverIface)
 	for _, s := range stubs {
-		e.pf("%s", serverIfaceLine(s, e.cfg.FuncSuffix))
+		e.p(serverIfaceLine(s, e.cfg.FuncSuffix))
 	}
 	e.pf("}\n")
 
@@ -87,22 +85,17 @@ c := rt.NewClient(conn, %[4]s)
 
 	// --- Dispatch ---
 	e.dispatchFunc(base, serverIface, stubs)
-	return nil
 }
 
-// callArgs renders the argument expressions passed from method parameters
-// to the request-marshal function (aggregates by address).
-func callArgs(params []*presc.ParamPres) []string {
-	var out []string
-	for _, p := range params {
-		n := p.Request
-		if n == nil {
-			n = p.Reply
-		}
-		if isAggregate(n) {
-			out = append(out, "&"+p.Name)
+// argExprs renders the arguments handing roots, held in locals named
+// with prefix, to their marshal function (aggregates by address).
+func argExprs(prefix string, roots []mir.Root) []string {
+	out := []string{"e"}
+	for _, r := range roots {
+		if isAggregate(r.Pres) {
+			out = append(out, "&"+prefix+r.Name)
 		} else {
-			out = append(out, p.Name)
+			out = append(out, prefix+r.Name)
 		}
 	}
 	return out
@@ -137,10 +130,6 @@ s.Register(%[3]d, %[4]d, func(h *rt.ReqHeader, d *rt.Decoder, e *rt.Encoder) err
 // name's length, then on its 4-byte words — the paper's discriminator
 // hashing, applied to GIOP's string discriminators.
 func (e *emitter) demux(d *backend.Demux) {
-	if d.Stub != nil {
-		e.dispatchArm(d.Stub)
-		return
-	}
 	if d.Off < 0 {
 		e.pf("switch len(op) {")
 	} else {
@@ -152,7 +141,11 @@ func (e *emitter) demux(d *backend.Demux) {
 		} else {
 			e.pf("case 0x%08x: // %q", arm.Key, arm.Text)
 		}
-		e.demux(arm.Next)
+		if arm.Stub != nil {
+			e.dispatchArm(arm.Stub)
+		} else {
+			e.demux(arm.Next)
+		}
 	}
 	e.pf("}")
 }
@@ -191,16 +184,11 @@ func (e *emitter) dispatchArm(s *presc.Stub) {
 		return
 	}
 
-	// Invoke the work function; its results marshal by address when
-	// they are aggregates.
-	var results, repArgs []string
-	for _, r := range backend.Roots(s, true) {
+	// Invoke the work function.
+	roots := backend.Roots(s, true)
+	var results []string
+	for _, r := range roots {
 		results = append(results, "r_"+r.Name)
-		if isAggregate(r.Pres) {
-			repArgs = append(repArgs, "&r_"+r.Name)
-		} else {
-			repArgs = append(repArgs, "r_"+r.Name)
-		}
 	}
 	e.pf("%s := impl.%s(%s)\nif workErr != nil {", strings.Join(append(results, "workErr"), ", "), pgen.GoName(s.Op), strings.Join(args, ", "))
 	for i, exName := range s.ExceptionNames {
@@ -209,7 +197,7 @@ func (e *emitter) dispatchArm(s *presc.Stub) {
 	}
 	e.pf("return workErr\n}")
 	if !s.Oneway {
-		e.pf("Marshal%sReply(%s)", prefix, strings.Join(append([]string{"e"}, repArgs...), ", "))
+		e.pf("Marshal%sReply(%s)", prefix, strings.Join(argExprs("r_", roots), ", "))
 	}
 	e.endBorrow(s)
 	e.pf("return nil")

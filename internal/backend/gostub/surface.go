@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"flick/internal/backend"
 	"flick/internal/pgen"
 	"flick/internal/pres"
 	"flick/internal/presc"
@@ -27,7 +28,7 @@ type Surface interface {
 	Name() string
 	// clientFuncs renders this surface's client-side methods (and any
 	// per-operation support types) for the interface's stubs.
-	clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) error
+	clientFuncs(e *emitter, clientType string, stubs []*presc.Stub)
 }
 
 // DefaultSurfaces is the classic presentation: blocking sync stubs
@@ -117,8 +118,8 @@ func replyResults(s *presc.Stub) (decls, names []string) {
 // requestFn renders the closure a call hands the runtime to marshal the
 // stub's request (aggregates by address).
 func (e *emitter) requestFn(s *presc.Stub) string {
-	args := append([]string{"e"}, callArgs(s.RequestParams())...)
-	return fmt.Sprintf("func(e *rt.Encoder) {\nMarshal%s%sRequest(%s)\n}", stubPrefix(s), e.cfg.FuncSuffix, strings.Join(args, ", "))
+	return fmt.Sprintf("func(e *rt.Encoder) {\nMarshal%s%sRequest(%s)\n}", stubPrefix(s), e.cfg.FuncSuffix,
+		strings.Join(argExprs("", backend.Roots(s, false)), ", "))
 }
 
 // replyTail emits what every reply-bearing surface ends in: obtain the
@@ -137,7 +138,7 @@ type SyncSurface struct{}
 
 func (SyncSurface) Name() string { return "sync" }
 
-func (SyncSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) error {
+func (SyncSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) {
 	for _, s := range stubs {
 		// Stream operations have no single-reply shape; they are
 		// presented by StreamSurface.
@@ -145,7 +146,6 @@ func (SyncSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stu
 			e.callMethod(clientType, s, false)
 		}
 	}
-	return nil
 }
 
 // callMethod emits the blocking call of one operation: the sync method,
@@ -153,12 +153,12 @@ func (SyncSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stu
 // parameter and the runtime entry point that takes it.
 func (e *emitter) callMethod(clientType string, s *presc.Stub, ctx bool) {
 	goOp := pgen.GoName(s.Op)
+	decls, names := replyResults(s)
 	sig, entry := s.CDecl.(string), "CallIdem("
 	if !ctx {
 		e.pf("// %s invokes the %s operation.", goOp, s.Op)
 	} else {
 		e.usesContext = true
-		decls, _ := replyResults(s)
 		params := append([]string{"ctx context.Context"}, inParamDecls(s)...)
 		sig = fmt.Sprintf("%sCtx(%s) (%s)", goOp, strings.Join(params, ", "), strings.Join(decls, ", "))
 		entry = "CallIdemCtx(ctx, "
@@ -177,7 +177,6 @@ func (e *emitter) callMethod(clientType string, s *presc.Stub, ctx bool) {
 		e.pf("_, err = %s\nif err != nil {\nreturn\n}\nreturn\n}\n", call)
 		return
 	}
-	_, names := replyResults(s)
 	e.replyTail(call, strings.Join(names, ", "), "Unmarshal"+stubPrefix(s)+e.cfg.FuncSuffix+"Reply")
 }
 
@@ -189,7 +188,7 @@ type AsyncSurface struct{}
 
 func (AsyncSurface) Name() string { return "async" }
 
-func (AsyncSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) error {
+func (AsyncSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) {
 	for _, s := range stubs {
 		// Oneway calls have nothing to resolve; streams have their own
 		// surface.
@@ -197,7 +196,6 @@ func (AsyncSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.St
 			e.asyncMethod(clientType, s)
 		}
 	}
-	return nil
 }
 
 func (e *emitter) asyncMethod(clientType string, s *presc.Stub) {
@@ -241,13 +239,12 @@ type CtxSurface struct{}
 
 func (CtxSurface) Name() string { return "ctx" }
 
-func (CtxSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) error {
+func (CtxSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) {
 	for _, s := range stubs {
 		if !s.Stream {
 			e.callMethod(clientType, s, true)
 		}
 	}
-	return nil
 }
 
 // StreamSurface is the server-push presentation for //flick:stream
@@ -257,13 +254,12 @@ type StreamSurface struct{}
 
 func (StreamSurface) Name() string { return "stream" }
 
-func (StreamSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) error {
+func (StreamSurface) clientFuncs(e *emitter, clientType string, stubs []*presc.Stub) {
 	for _, s := range stubs {
 		if s.Stream {
 			e.streamMethod(clientType, s)
 		}
 	}
-	return nil
 }
 
 // chunkDecl renders the chunk parameter declaration of a stream stub's

@@ -7,7 +7,8 @@
 package backend
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"flick/internal/mir"
 	"flick/internal/presc"
@@ -106,75 +107,77 @@ func DemuxByName(f wire.Format) bool {
 	return f.Name() == "cdr-be" || f.Name() == "cdr-le"
 }
 
-// Demux is the decision tree a server walks to find an operation by
-// name: the paper's discriminator hashing applied to string
+// Demux is one switch of the decision tree a server walks to find an
+// operation by name: the paper's discriminator hashing applied to string
 // discriminators. The root switches on the name's length; every level
 // below on the next four bytes of the name as one machine word, until
 // the whole name is consumed. aoi.Validate has rejected duplicate
-// operation names, so every leaf holds exactly one stub.
+// operation names, so a name consumed identifies exactly one stub.
 type Demux struct {
-	// Stub is set at a leaf: the whole name matched.
-	Stub *presc.Stub
 	// Off is the byte offset of the word the arms are keyed by; -1 at
 	// the root, whose arms are keyed by length.
 	Off  int
 	Arms []DemuxArm
 }
 
-// DemuxArm is one case of a Demux switch.
+// DemuxArm is one case of a Demux switch. It ends at Stub when the key
+// completes the name, and goes on to Next otherwise.
 type DemuxArm struct {
 	Key uint32
 	// Text is the name bytes Key packs (empty at the root).
 	Text string
+	Stub *presc.Stub
 	Next *Demux
 }
 
 // NewDemux builds the tree over stubs: lengths ascending, words in order
 // of first appearance.
 func NewDemux(stubs []*presc.Stub) *Demux {
+	stubs = append([]*presc.Stub(nil), stubs...) // regrouped in place below
 	root := &Demux{Off: -1}
-	for _, g := range groupStubs(stubs, func(s *presc.Stub) uint32 { return uint32(len(s.OpName)) }) {
-		root.Arms = append(root.Arms, DemuxArm{Key: g.key, Next: demuxWords(g.stubs, 0)})
+	for len(stubs) > 0 {
+		n := leadRun(stubs, func(s *presc.Stub) uint32 { return uint32(len(s.OpName)) })
+		arm := DemuxArm{Key: uint32(len(stubs[0].OpName))}
+		arm.Stub, arm.Next = demuxWords(stubs[:n], 0)
+		root.Arms = append(root.Arms, arm)
+		stubs = stubs[n:]
 	}
-	sort.Slice(root.Arms, func(i, j int) bool { return root.Arms[i].Key < root.Arms[j].Key })
+	slices.SortFunc(root.Arms, func(a, b DemuxArm) int { return cmp.Compare(a.Key, b.Key) })
 	return root
 }
 
-// demuxWords builds the subtree telling stubs — equally long names that
-// agree on their first off bytes — apart.
-func demuxWords(stubs []*presc.Stub, off int) *Demux {
-	name := stubs[0].OpName
-	if off >= len(name) {
-		return &Demux{Stub: stubs[0]}
+// demuxWords tells stubs — equally long names that agree on their first
+// off bytes — apart: the one stub when the names end at off, a switch on
+// the word at off otherwise.
+func demuxWords(stubs []*presc.Stub, off int) (*presc.Stub, *Demux) {
+	if off >= len(stubs[0].OpName) {
+		return stubs[0], nil
 	}
 	d := &Demux{Off: off}
-	for _, g := range groupStubs(stubs, func(s *presc.Stub) uint32 { return Word4(s.OpName, off) }) {
-		text := g.stubs[0].OpName[off:min(off+4, len(name))]
-		d.Arms = append(d.Arms, DemuxArm{Key: g.key, Text: text, Next: demuxWords(g.stubs, off+4)})
+	for len(stubs) > 0 {
+		n := leadRun(stubs, func(s *presc.Stub) uint32 { return Word4(s.OpName, off) })
+		name := stubs[0].OpName
+		arm := DemuxArm{Key: Word4(name, off), Text: name[off:min(off+4, len(name))]}
+		arm.Stub, arm.Next = demuxWords(stubs[:n], off+4)
+		d.Arms = append(d.Arms, arm)
+		stubs = stubs[n:]
 	}
-	return d
+	return nil, d
 }
 
-type stubGroup struct {
-	key   uint32
-	stubs []*presc.Stub
-}
-
-// groupStubs splits stubs by key, groups in order of first appearance.
-func groupStubs(stubs []*presc.Stub, key func(*presc.Stub) uint32) []stubGroup {
-	var groups []stubGroup
-next:
-	for _, s := range stubs {
-		k := key(s)
-		for i := range groups {
-			if groups[i].key == k {
-				groups[i].stubs = append(groups[i].stubs, s)
-				continue next
-			}
+// leadRun moves the stubs that share the first one's key to the front,
+// keeping their order and the order of the rest, and returns how many
+// they are.
+func leadRun(stubs []*presc.Stub, key func(*presc.Stub) uint32) int {
+	k, n := key(stubs[0]), 1
+	for i := 1; i < len(stubs); i++ {
+		if s := stubs[i]; key(s) == k {
+			copy(stubs[n+1:i+1], stubs[n:i])
+			stubs[n] = s
+			n++
 		}
-		groups = append(groups, stubGroup{k, []*presc.Stub{s}})
 	}
-	return groups
+	return n
 }
 
 // Word4 packs up to four bytes of s starting at off into a big-endian

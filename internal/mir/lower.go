@@ -420,12 +420,13 @@ func (lo *lowerer) elemStride(elem *pres.Node) (stride, maxAlign int, ok bool) {
 func hasAlign(ops []Op) bool {
 	found := false
 	for _, op := range ops {
-		if _, isAlign := op.(*Align); isAlign {
+		_, found = op.(*Align)
+		Bodies(op, func(body *[]Op) { found = found || hasAlign(*body) })
+		if found {
 			return true
 		}
-		Bodies(op, func(body *[]Op) { found = found || hasAlign(*body) })
 	}
-	return found
+	return false
 }
 
 // hasDynamic reports data-dependent size (loops with dynamic counts,

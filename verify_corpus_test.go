@@ -121,7 +121,8 @@ func (d *corpusDigests) close() {
 	for config, sum := range d.got {
 		lines = append(lines, sum+"  "+d.section+" "+config)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i][66:] < lines[j][66:] })
+	const digest = sha256.Size*2 + len("  ") // lines sort by what follows it
+	sort.Slice(lines, func(i, j int) bool { return lines[i][digest:] < lines[j][digest:] })
 	if err := os.MkdirAll(filepath.Dir(corpusDigestFile), 0o755); err != nil {
 		d.t.Fatal(err)
 	}
