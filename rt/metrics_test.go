@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -207,6 +209,162 @@ func TestSnapshotTextAndJSON(t *testing.T) {
 	n, err := s.WriteTo(&buf)
 	if err != nil || n != int64(buf.Len()) {
 		t.Errorf("WriteTo = %d, %v; buffer %d", n, err, buf.Len())
+	}
+}
+
+// pinnedMetrics returns a registry whose every counter and gauge holds a
+// distinct multiple of k (the i-th counter of the text exposition holds
+// k*i), with one operation observed k times.
+func pinnedMetrics(k uint64) *Metrics {
+	m := NewMetrics()
+	for i, c := range []*atomic.Uint64{
+		&m.Conns, &m.ConnErrors, &m.BadHeaders, &m.BadXIDs, &m.StaleReplies, &m.DispatchErrors, &m.Oneways,
+		&m.Retries, &m.Reconnects, &m.BreakerOpen, &m.BreakerRejects,
+		&m.PanicsRecovered, &m.DroppedDupes, &m.IdleReaped, &m.Oversized,
+		&m.BatchedCalls, &m.BatchFrames, &m.BatchFlushSize, &m.BatchFlushIdle,
+		&m.BatchFlushDeadline, &m.BatchFlushClose, &m.AdmissionRejects, &m.SessionFailovers,
+		&m.HedgedCalls, &m.HedgeWins, &m.CancelsSent, &m.GoAways,
+		&m.ExpiredRejects, &m.CanceledCalls, &m.DrainRejects,
+		&m.EncGrowChecks, &m.EncGrowAllocs, &m.DecEnsureChecks, &m.DecFailures,
+	} {
+		c.Store(k * uint64(i+1))
+	}
+	m.InFlight.Store(-35 * int64(k))
+	m.QueueDepth.Store(36 * int64(k))
+	op := m.Op("ping")
+	op.Calls.Store(37 * k)
+	op.Errors.Store(38 * k)
+	op.ReqBytes.Store(39 * k)
+	op.RepBytes.Store(40 * k)
+	for i := uint64(0); i < k; i++ {
+		op.Latency.Observe(time.Millisecond)
+	}
+	return m
+}
+
+// TestExpositionPinned pins which field every exposed name reads, in
+// what order: the text and JSON renderings byte for byte, and Sub field
+// by field (later values are three times the earlier ones, so every
+// delta is twice the earlier value, gauges included).
+func TestExpositionPinned(t *testing.T) {
+	s := pinnedMetrics(1).Snapshot()
+	const wantText = `flick_conns 1
+flick_conn_errors 2
+flick_bad_headers 3
+flick_bad_xids 4
+flick_stale_replies 5
+flick_dispatch_errors 6
+flick_oneways 7
+flick_retries 8
+flick_reconnects 9
+flick_breaker_open 10
+flick_breaker_rejects 11
+flick_panics_recovered 12
+flick_dropped_dupes 13
+flick_idle_reaped 14
+flick_oversized 15
+flick_batched_calls 16
+flick_batch_frames 17
+flick_batch_flush_size 18
+flick_batch_flush_idle 19
+flick_batch_flush_deadline 20
+flick_batch_flush_close 21
+flick_admission_rejects 22
+flick_session_failovers 23
+flick_hedged_calls 24
+flick_hedge_wins 25
+flick_cancels_sent 26
+flick_goaways 27
+flick_expired_rejects 28
+flick_canceled_calls 29
+flick_drain_rejects 30
+flick_enc_grow_checks 31
+flick_enc_grow_allocs 32
+flick_dec_ensure_checks 33
+flick_dec_failures 34
+flick_in_flight -35
+flick_queue_depth 36
+flick_op_calls{op="ping"} 37
+flick_op_errors{op="ping"} 38
+flick_op_req_bytes{op="ping"} 39
+flick_op_rep_bytes{op="ping"} 40
+flick_op_latency_mean_ns{op="ping"} 1000000
+flick_op_latency_p50_ns{op="ping"} 1048576
+flick_op_latency_p90_ns{op="ping"} 1048576
+flick_op_latency_p99_ns{op="ping"} 1048576
+flick_op_latency_max_ns{op="ping"} 1000000
+`
+	if got := s.String(); got != wantText {
+		t.Errorf("text exposition:\n%s\nwant:\n%s", got, wantText)
+	}
+
+	// One observation of 1 ms lands in bucket 20 of 40.
+	buckets := strings.Repeat("          0,\n", 20) + "          1,\n" + strings.Repeat("          0,\n", 18) + "          0\n"
+	wantJSON := `{
+  "ops": [
+    {
+      "op": "ping",
+      "calls": 37,
+      "errors": 38,
+      "req_bytes": 39,
+      "rep_bytes": 40,
+      "latency": {
+        "count": 1,
+        "sum_ns": 1000000,
+        "max_ns": 1000000,
+        "buckets": [
+` + buckets + `        ]
+      },
+      "mean_ns": 1000000,
+      "p50_ns": 1048576,
+      "p90_ns": 1048576,
+      "p99_ns": 1048576,
+      "max_ns": 1000000
+    }
+  ],
+  "conns": 1,
+  "conn_errors": 2,
+  "bad_headers": 3,
+  "bad_xids": 4,
+  "stale_replies": 5,
+  "dispatch_errors": 6,
+  "oneways": 7,
+  "in_flight": -35,
+  "queue_depth": 36,
+  "retries": 8,
+  "reconnects": 9,
+  "breaker_open": 10,
+  "breaker_rejects": 11,
+  "panics_recovered": 12,
+  "dropped_dupes": 13,
+  "idle_reaped": 14,
+  "oversized": 15,
+  "batched_calls": 16,
+  "batch_frames": 17,
+  "batch_flush_size": 18,
+  "batch_flush_idle": 19,
+  "batch_flush_deadline": 20,
+  "batch_flush_close": 21,
+  "admission_rejects": 22,
+  "session_failovers": 23,
+  "hedged_calls": 24,
+  "hedge_wins": 25,
+  "cancels_sent": 26,
+  "goaways": 27,
+  "expired_rejects": 28,
+  "canceled_calls": 29,
+  "drain_rejects": 30,
+  "enc_grow_checks": 31,
+  "enc_grow_allocs": 32,
+  "dec_ensure_checks": 33,
+  "dec_failures": 34
+}`
+	if got, err := s.JSON(); err != nil || string(got) != wantJSON {
+		t.Errorf("JSON exposition (%v):\n%s\nwant:\n%s", err, got, wantJSON)
+	}
+
+	if got, want := pinnedMetrics(3).Snapshot().Sub(s), pinnedMetrics(2).Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Sub:\n got %+v\nwant %+v", got, want)
 	}
 }
 
