@@ -38,7 +38,6 @@ func main() {
 	noOpt := flag.String("disable", "", "comma-separated optimizations to disable: group,chunk,memcpy,inline")
 	zeroCopy := flag.Bool("zerocopy", false, "emit zero-copy call shapes for prover-approved byte regions (Go, flick style)")
 	stats := flag.Bool("stats", false, "print per-stub optimizer counters to stderr")
-	noVerify := flag.Bool("noverify", false, "skip stage-boundary IR verification")
 	verifyFlag := flag.String("verify", "on", "IR verification mode: on, off, or strict (adds O(n²) chunk overlap checks)")
 	flag.Parse()
 
@@ -83,9 +82,6 @@ func main() {
 	opt.Verify, err = verify.ParseMode(*verifyFlag)
 	if err != nil {
 		fatal(err)
-	}
-	if *noVerify {
-		opt.Verify = verify.Off
 	}
 
 	if *stats {

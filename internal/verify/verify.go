@@ -39,7 +39,7 @@ type Mode int
 const (
 	// On runs the linear-time verifier passes between every stage.
 	On Mode = iota
-	// Off skips verification (`flick -noverify`).
+	// Off skips verification (`flick -verify=off`).
 	Off
 	// Strict additionally runs the O(n²) overlap checks on chunk
 	// layouts (`flick -verify=strict`).

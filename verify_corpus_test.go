@@ -347,7 +347,7 @@ func TestLintCorpusZeroFindings(t *testing.T) {
 	}
 }
 
-// TestVerifyOffSkipsChecks confirms -noverify plumbing: counters stay
+// TestVerifyOffSkipsChecks confirms -verify=off plumbing: counters stay
 // zero when verification is off.
 func TestVerifyOffSkipsChecks(t *testing.T) {
 	stats := &gostub.Stats{}
