@@ -149,6 +149,27 @@ func TestGoOnlyOptionsRefusedForC(t *testing.T) {
 	}
 }
 
+// TestServerSideRefusedForGo: -side server only changes the C
+// presentation; the Go back end emits both halves under -side client, so
+// it refuses the option rather than ignoring it, for every front end.
+func TestServerSideRefusedForGo(t *testing.T) {
+	for _, in := range []struct{ file, src string }{{"m.idl", mailCorba}, {"m.x", mailONC}, {"m.defs", `
+		subsystem m 2400;
+		routine ping(port : mach_port_t; v : int32_t);
+	`}} {
+		_, err := flick.Compile(in.file, in.src, flick.Options{Lang: "go", Side: "server", EmitRPC: true})
+		if err == nil || !strings.Contains(err.Error(), "-side server") || !strings.Contains(err.Error(), "use -lang c") {
+			t.Errorf("%s -lang go -side server: err = %v, want a refusal", in.file, err)
+		}
+		if _, err := flick.Compile(in.file, in.src, flick.Options{Lang: "go", Side: "client", EmitRPC: true}); err != nil {
+			t.Errorf("%s -lang go -side client: %v", in.file, err)
+		}
+	}
+	if _, err := flick.Compile("m.idl", mailCorba, flick.Options{Lang: "c", Side: "server"}); err != nil {
+		t.Errorf("-lang c -side server: %v", err)
+	}
+}
+
 func TestGeneratedGoCompilesUnderGofmtAssumptions(t *testing.T) {
 	// Generated Go must at least be balanced and contain the DO NOT
 	// EDIT marker; real compilation is covered by the committed
