@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -352,7 +353,9 @@ type OpSnapshot struct {
 }
 
 // Snapshot is a stable, point-in-time copy of a Metrics registry,
-// suitable for JSON encoding. Ops are sorted by name.
+// suitable for JSON encoding. Ops are sorted by name. Every other field
+// copies the Metrics counter or gauge of the same name, and its JSON tag
+// names it in every exposition (see counters).
 type Snapshot struct {
 	Ops []OpSnapshot `json:"ops"`
 
@@ -398,50 +401,51 @@ type Snapshot struct {
 	DecFailures     uint64 `json:"dec_failures"`
 }
 
+// counter is one registry-wide value of the exposition: a Snapshot
+// field and the Metrics field of the same name.
+type counter struct {
+	name       string // text exposition name: "flick_" + the JSON tag
+	snap, live int    // field indexes in Snapshot and Metrics
+}
+
+// counters is the one list of registry-wide values, read off Snapshot's
+// fields (Ops aside) in declaration order, with the signed gauges moved
+// last: the order the text exposition prints them in.
+var counters = func() []counter {
+	var cs, gauges []counter
+	st, mt := reflect.TypeOf(Snapshot{}), reflect.TypeOf(Metrics{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Name == "Ops" {
+			continue
+		}
+		live, ok := mt.FieldByName(f.Name)
+		if !ok {
+			panic("rt: Snapshot." + f.Name + " has no Metrics counter")
+		}
+		c := counter{"flick_" + f.Tag.Get("json"), i, live.Index[0]}
+		if f.Type.Kind() == reflect.Int64 {
+			gauges = append(gauges, c)
+		} else {
+			cs = append(cs, c)
+		}
+	}
+	return append(cs, gauges...)
+}()
+
 // Snapshot copies the registry. Individual counters are loaded
 // atomically; the set is not a consistent cut under concurrent updates
 // (totals may be mid-call), which is the usual monitoring contract.
 func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		Conns:           m.Conns.Load(),
-		ConnErrors:      m.ConnErrors.Load(),
-		BadHeaders:      m.BadHeaders.Load(),
-		BadXIDs:         m.BadXIDs.Load(),
-		StaleReplies:    m.StaleReplies.Load(),
-		DispatchErrors:  m.DispatchErrors.Load(),
-		Oneways:         m.Oneways.Load(),
-		InFlight:        m.InFlight.Load(),
-		QueueDepth:      m.QueueDepth.Load(),
-		Retries:         m.Retries.Load(),
-		Reconnects:      m.Reconnects.Load(),
-		BreakerOpen:     m.BreakerOpen.Load(),
-		BreakerRejects:  m.BreakerRejects.Load(),
-		PanicsRecovered: m.PanicsRecovered.Load(),
-		DroppedDupes:    m.DroppedDupes.Load(),
-		IdleReaped:      m.IdleReaped.Load(),
-		Oversized:       m.Oversized.Load(),
-
-		BatchedCalls:       m.BatchedCalls.Load(),
-		BatchFrames:        m.BatchFrames.Load(),
-		BatchFlushSize:     m.BatchFlushSize.Load(),
-		BatchFlushIdle:     m.BatchFlushIdle.Load(),
-		BatchFlushDeadline: m.BatchFlushDeadline.Load(),
-		BatchFlushClose:    m.BatchFlushClose.Load(),
-		AdmissionRejects:   m.AdmissionRejects.Load(),
-		SessionFailovers:   m.SessionFailovers.Load(),
-
-		HedgedCalls:    m.HedgedCalls.Load(),
-		HedgeWins:      m.HedgeWins.Load(),
-		CancelsSent:    m.CancelsSent.Load(),
-		GoAways:        m.GoAways.Load(),
-		ExpiredRejects: m.ExpiredRejects.Load(),
-		CanceledCalls:  m.CanceledCalls.Load(),
-		DrainRejects:   m.DrainRejects.Load(),
-
-		EncGrowChecks:   m.EncGrowChecks.Load(),
-		EncGrowAllocs:   m.EncGrowAllocs.Load(),
-		DecEnsureChecks: m.DecEnsureChecks.Load(),
-		DecFailures:     m.DecFailures.Load(),
+	var s Snapshot
+	sv, mv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(m).Elem()
+	for _, c := range counters {
+		switch v := mv.Field(c.live).Addr().Interface().(type) {
+		case *atomic.Uint64:
+			sv.Field(c.snap).SetUint(v.Load())
+		case *atomic.Int64:
+			sv.Field(c.snap).SetInt(v.Load())
+		}
 	}
 	m.ops.Range(func(k, v any) bool {
 		op := v.(*OpStats)
@@ -481,42 +485,14 @@ func (s Snapshot) JSON() ([]byte, error) {
 // earlier must be a prior snapshot of the same registry.
 func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 	d := s
-	d.Conns -= earlier.Conns
-	d.ConnErrors -= earlier.ConnErrors
-	d.BadHeaders -= earlier.BadHeaders
-	d.BadXIDs -= earlier.BadXIDs
-	d.StaleReplies -= earlier.StaleReplies
-	d.DispatchErrors -= earlier.DispatchErrors
-	d.Oneways -= earlier.Oneways
-	d.InFlight -= earlier.InFlight
-	d.QueueDepth -= earlier.QueueDepth
-	d.Retries -= earlier.Retries
-	d.Reconnects -= earlier.Reconnects
-	d.BreakerOpen -= earlier.BreakerOpen
-	d.BreakerRejects -= earlier.BreakerRejects
-	d.PanicsRecovered -= earlier.PanicsRecovered
-	d.DroppedDupes -= earlier.DroppedDupes
-	d.IdleReaped -= earlier.IdleReaped
-	d.Oversized -= earlier.Oversized
-	d.BatchedCalls -= earlier.BatchedCalls
-	d.BatchFrames -= earlier.BatchFrames
-	d.BatchFlushSize -= earlier.BatchFlushSize
-	d.BatchFlushIdle -= earlier.BatchFlushIdle
-	d.BatchFlushDeadline -= earlier.BatchFlushDeadline
-	d.BatchFlushClose -= earlier.BatchFlushClose
-	d.AdmissionRejects -= earlier.AdmissionRejects
-	d.SessionFailovers -= earlier.SessionFailovers
-	d.HedgedCalls -= earlier.HedgedCalls
-	d.HedgeWins -= earlier.HedgeWins
-	d.CancelsSent -= earlier.CancelsSent
-	d.GoAways -= earlier.GoAways
-	d.ExpiredRejects -= earlier.ExpiredRejects
-	d.CanceledCalls -= earlier.CanceledCalls
-	d.DrainRejects -= earlier.DrainRejects
-	d.EncGrowChecks -= earlier.EncGrowChecks
-	d.EncGrowAllocs -= earlier.EncGrowAllocs
-	d.DecEnsureChecks -= earlier.DecEnsureChecks
-	d.DecFailures -= earlier.DecFailures
+	dv, ev := reflect.ValueOf(&d).Elem(), reflect.ValueOf(earlier)
+	for _, c := range counters {
+		if f := dv.Field(c.snap); f.CanUint() {
+			f.SetUint(f.Uint() - ev.Field(c.snap).Uint())
+		} else {
+			f.SetInt(f.Int() - ev.Field(c.snap).Int())
+		}
+	}
 
 	prior := make(map[string]OpSnapshot, len(earlier.Ops))
 	for _, op := range earlier.Ops {
@@ -551,59 +527,9 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 		total += int64(n)
 		return err
 	}
-	globals := []struct {
-		name string
-		v    uint64
-	}{
-		{"flick_conns", s.Conns},
-		{"flick_conn_errors", s.ConnErrors},
-		{"flick_bad_headers", s.BadHeaders},
-		{"flick_bad_xids", s.BadXIDs},
-		{"flick_stale_replies", s.StaleReplies},
-		{"flick_dispatch_errors", s.DispatchErrors},
-		{"flick_oneways", s.Oneways},
-		{"flick_retries", s.Retries},
-		{"flick_reconnects", s.Reconnects},
-		{"flick_breaker_open", s.BreakerOpen},
-		{"flick_breaker_rejects", s.BreakerRejects},
-		{"flick_panics_recovered", s.PanicsRecovered},
-		{"flick_dropped_dupes", s.DroppedDupes},
-		{"flick_idle_reaped", s.IdleReaped},
-		{"flick_oversized", s.Oversized},
-		{"flick_batched_calls", s.BatchedCalls},
-		{"flick_batch_frames", s.BatchFrames},
-		{"flick_batch_flush_size", s.BatchFlushSize},
-		{"flick_batch_flush_idle", s.BatchFlushIdle},
-		{"flick_batch_flush_deadline", s.BatchFlushDeadline},
-		{"flick_batch_flush_close", s.BatchFlushClose},
-		{"flick_admission_rejects", s.AdmissionRejects},
-		{"flick_session_failovers", s.SessionFailovers},
-		{"flick_hedged_calls", s.HedgedCalls},
-		{"flick_hedge_wins", s.HedgeWins},
-		{"flick_cancels_sent", s.CancelsSent},
-		{"flick_goaways", s.GoAways},
-		{"flick_expired_rejects", s.ExpiredRejects},
-		{"flick_canceled_calls", s.CanceledCalls},
-		{"flick_drain_rejects", s.DrainRejects},
-		{"flick_enc_grow_checks", s.EncGrowChecks},
-		{"flick_enc_grow_allocs", s.EncGrowAllocs},
-		{"flick_dec_ensure_checks", s.DecEnsureChecks},
-		{"flick_dec_failures", s.DecFailures},
-	}
-	for _, g := range globals {
-		if err := pr("%s %d\n", g.name, g.v); err != nil {
-			return total, err
-		}
-	}
-	// Gauges (signed: point-in-time levels, not monotonic counters).
-	for _, g := range []struct {
-		name string
-		v    int64
-	}{
-		{"flick_in_flight", s.InFlight},
-		{"flick_queue_depth", s.QueueDepth},
-	} {
-		if err := pr("%s %d\n", g.name, g.v); err != nil {
+	sv := reflect.ValueOf(s)
+	for _, c := range counters {
+		if err := pr("%s %d\n", c.name, sv.Field(c.snap).Interface()); err != nil {
 			return total, err
 		}
 	}
