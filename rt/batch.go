@@ -298,10 +298,27 @@ func flushCause(reason int) string {
 	return "flush-close"
 }
 
-// emit sends the pending messages as one frame, sends their staging
-// buffers home, and records the flush. It returns the (possibly grown)
-// reusable envelope buffer.
+// emit records the flush, sends the pending messages as one frame and
+// sends their staging buffers home. It returns the (possibly grown)
+// reusable envelope buffer. The flush is counted before the send, so a
+// peer that has received the frame sees it counted.
 func (b *BatchConn) emit(pending []batchMsg, frame []byte, reason int) []byte {
+	if m := b.cfg.Metrics; m != nil {
+		switch reason {
+		case flushSize:
+			m.BatchFlushSize.Add(1)
+		case flushIdle:
+			m.BatchFlushIdle.Add(1)
+		case flushDeadline:
+			m.BatchFlushDeadline.Add(1)
+		case flushClose:
+			m.BatchFlushClose.Add(1)
+		}
+		if len(pending) > 1 {
+			m.BatchFrames.Add(1)
+			m.BatchedCalls.Add(uint64(len(pending)))
+		}
+	}
 	var err error
 	if len(pending) == 1 {
 		// Single message: ship it unwrapped — at low load batching must
@@ -334,22 +351,6 @@ func (b *BatchConn) emit(pending []batchMsg, frame []byte, reason int) []byte {
 				sp.Err = err.Error()
 			}
 			tracer.record(sp)
-		}
-	}
-	if m := b.cfg.Metrics; m != nil {
-		switch reason {
-		case flushSize:
-			m.BatchFlushSize.Add(1)
-		case flushIdle:
-			m.BatchFlushIdle.Add(1)
-		case flushDeadline:
-			m.BatchFlushDeadline.Add(1)
-		case flushClose:
-			m.BatchFlushClose.Add(1)
-		}
-		if len(pending) > 1 {
-			m.BatchFrames.Add(1)
-			m.BatchedCalls.Add(uint64(len(pending)))
 		}
 	}
 	if err != nil && b.sendErr.Load() == nil {
