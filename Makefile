@@ -1,12 +1,13 @@
 # Flick-Go build targets. `make ci` is the full gate: vet, build, the
 # flick-lint ownership analyzers, race-enabled tests (which include the
-# rt allocation guard and the corpus digests), rt once more under the
-# portable bulk kernels, the benchmark module's own vet and self-tests,
-# Table 1 with its ratchet, and the generated-stub and golden drift check.
+# corpus digests but skip the allocation guards), the allocation guards
+# without -race, rt once more under the portable bulk kernels, the
+# benchmark module's own vet and self-tests, Table 1 with its ratchet,
+# and the generated-stub and golden drift check.
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race test-portable test-bench loc bench bench-rt bench-json generate generate-check stats ci
+.PHONY: all build vet lint test test-race test-allocs test-portable test-bench loc bench bench-rt bench-json generate generate-check stats ci
 
 all: build
 
@@ -30,6 +31,13 @@ test:
 # handler that kept its aliased argument sees the poison.
 test-race:
 	$(GO) test -race ./...
+
+# The allocation guards, which race builds skip (the detector's
+# instrumentation allocates): the call path, refusals and lent parameter
+# storage in rt, the generated Sum call and ListDir reply in teststubs,
+# the zero-copy marshal and Put in zcstubs.
+test-allocs:
+	$(GO) test -count=1 -run 'Alloc|StaysOnStack|Borrow' ./rt ./internal/teststubs ./internal/zcstubs
 
 # rt's bulk transfers have two builds (rt/bulk_fast.go, rt/bulk_portable.go);
 # only the first is what a little-endian host compiles by default, so the
@@ -94,7 +102,7 @@ PKGS_fleet         := ./rt ./internal/experiment
 REPORT_fleet       := fleet
 SHORT_REPORT_fleet := fleet
 
-RUN_trace    := TestTraceSoak|TestTracePropagates|TestTracingDisabledAllocs|TestDupCachedResend|TestPoolFailoverKeepsTrace
+RUN_trace    := TestTraceSoak|TestTracePropagates|TestCallAllocs|TestDupCachedResend|TestPoolFailoverKeepsTrace
 PKGS_trace   := ./rt ./internal/experiment
 REPORT_trace := trace
 
@@ -157,4 +165,4 @@ stats:
 	$(GO) run ./cmd/flick-bench -exp pipeline
 	$(GO) run ./cmd/flick-stats -rounds 50
 
-ci: vet build lint test-race test-portable test-bench loc generate-check
+ci: vet build lint test-race test-allocs test-portable test-bench loc generate-check

@@ -265,3 +265,37 @@ func BenchmarkAblation_Rects_64K(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAblation_Params_Sum16 is parameter management on small data:
+// the server-side decode of a 16-integer Sum request. "full" is the
+// skeleton's cycle under //flick:borrow — decode into lent storage, end
+// the borrow, reset for the next request. "no-params" decodes the same
+// message with send_ints' stub, which the directive does not mark: the
+// make([]int32, n) that -disable params emits for sum as well.
+func BenchmarkAblation_Params_Sum16(b *testing.B) {
+	var e rt.Encoder
+	ts.MarshalBenchSumXDRRequest(&e, experiment.IntArray(64))
+	msg := e.Bytes()
+	for _, cfg := range []struct {
+		name string
+		f    func(*rt.Decoder) ([]int32, error)
+		end  bool
+	}{
+		{"full", ts.UnmarshalBenchSumXDRRequest, true},
+		{"no-params", ts.UnmarshalBenchSendIntsXDRRequest, false},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			d := rt.NewDecoder(msg)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d.Reset(msg)
+				if _, err := cfg.f(d); err != nil {
+					b.Fatal(err)
+				}
+				if cfg.end {
+					d.EndBorrow()
+				}
+			}
+		})
+	}
+}

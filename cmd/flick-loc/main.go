@@ -44,7 +44,7 @@ var components = []component{
 	{phase: "Pres. Gen.", name: "C presentations (CORBA + rpcgen + Fluke)", paths: []string{"internal/pgen/cpres.go"}, ceiling: 522},
 	// Back-end phase.
 	{phase: "Back End", name: "Base Library (mir optimizer + wire formats + verifier + kit)", paths: []string{"internal/mir", "internal/wire", "internal/verify", "internal/backend/kit.go"}, base: true},
-	{phase: "Back End", name: "Go emitter (all formats)", paths: []string{"internal/backend/gostub"}, ceiling: 1473},
+	{phase: "Back End", name: "Go emitter (all formats)", paths: []string{"internal/backend/gostub"}, ceiling: 1505},
 	{phase: "Back End", name: "C emitter (CAST)", paths: []string{"internal/cast", "internal/backend/cstub"}, ceiling: 1544},
 	{phase: "Back End", name: "interpretive marshaler (ILU/ORBeline models)", paths: []string{"internal/interp"}},
 	{phase: runtimePhase, name: "rt (what generated stubs link against)", paths: []string{"rt"}},

@@ -35,7 +35,7 @@ func main() {
 	surfacesOnly := flag.Bool("surfaces-only", false, "emit only the surface shells (marshal core generated elsewhere in the package)")
 	side := flag.String("side", "client", "presentation side: client or server (C only)")
 	flag.StringVar(&out, "o", "", "output file (default stdout)")
-	noOpt := flag.String("disable", "", "comma-separated optimizations to disable: group,chunk,memcpy,inline")
+	noOpt := flag.String("disable", "", "comma-separated optimizations to disable: group,chunk,memcpy,inline,params")
 	zeroCopy := flag.Bool("zerocopy", false, "emit zero-copy call shapes for prover-approved byte regions (Go, flick style)")
 	stats := flag.Bool("stats", false, "print per-stub optimizer counters to stderr")
 	verifyFlag := flag.String("verify", "on", "IR verification mode: on, off, or strict (adds O(n²) chunk overlap checks)")
@@ -74,6 +74,8 @@ func main() {
 			opt.DisableMemcpy = true
 		case "inline":
 			opt.DisableInline = true
+		case "params":
+			opt.DisableParams = true
 		default:
 			fatal(fmt.Errorf("unknown optimization %q", d))
 		}

@@ -70,12 +70,15 @@ type Options struct {
 	// Presentation forces a C mapping style ("corba", "rpcgen",
 	// "fluke"); empty picks by IDL and format.
 	Presentation string
-	// DisableGroup/Chunk/Memcpy/Inline switch off individual
-	// optimizations (for ablation studies).
+	// DisableGroup/Chunk/Memcpy/Inline/Params switch off individual
+	// optimizations (for ablation studies). DisableParams turns off
+	// parameter management: the message slab and the lent in-parameter
+	// storage of //flick:borrow operations.
 	DisableGroup  bool
 	DisableChunk  bool
 	DisableMemcpy bool
 	DisableInline bool
+	DisableParams bool
 	// ZeroCopy emits the zero-copy call shapes for byte regions the MIR
 	// alias pass proved alias-safe: marshal-side sends by reference
 	// (vectored writes on capable transports), decode-side views borrow
@@ -114,6 +117,9 @@ func (o Options) mirOptions() *mir.Options {
 	}
 	if o.DisableInline {
 		m.Inline = false
+	}
+	if o.DisableParams {
+		m.Params = false
 	}
 	return &m
 }

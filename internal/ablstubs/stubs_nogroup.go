@@ -246,7 +246,7 @@ func UnmarshalBenchSumNoGroupRequest(d *rt.Decoder) (v []int32, err error) {
 		err = d.Err()
 		return
 	}
-	v = make([]int32, n9)
+	v = rt.Borrow[int32](d, n9)
 	if !d.EnsureDyn(0, 4, n9) {
 		err = d.Err()
 		return

@@ -158,7 +158,7 @@ func UnmarshalBenchSumNoInlineRequest(d *rt.Decoder) (v []int32, err error) {
 		err = d.Err()
 		return
 	}
-	v = make([]int32, n11)
+	v = rt.Borrow[int32](d, n11)
 	if !d.EnsureDyn(0, 4, n11) {
 		err = d.Err()
 		return

@@ -248,7 +248,7 @@ func UnmarshalBenchSumNoMemcpyRequest(d *rt.Decoder) (v []int32, err error) {
 		err = d.Err()
 		return
 	}
-	v = make([]int32, n12)
+	v = rt.Borrow[int32](d, n12)
 	for i1 := 0; i1 < len(v); i1++ {
 		if !d.Ensure(4) {
 			err = d.Err()

@@ -167,7 +167,13 @@ type Operation struct {
 	// single reply. Stream operations take only in parameters, return a
 	// non-void result (the chunk type), and raise no exceptions.
 	Stream bool
-	Params     []Param
+	// Borrow marks operations whose in-parameters are valid only until
+	// the work function returns (the //flick:borrow annotation), the
+	// contract CORBA's mapping and rpcgen's svc_freeargs give: the
+	// server skeleton may decode them into storage it lends again to a
+	// later request. The bytes on the wire do not change.
+	Borrow bool
+	Params []Param
 	// Result is the return type; Void for none.
 	Result Type
 	// Raises names user exceptions the operation may raise.

@@ -175,9 +175,10 @@ func Generate(f *presc.File, cfg Config) (string, error) {
 	// Parameter management is a Go-stub concern (C unmarshals in place),
 	// and the baselines model compilers that allocate per datum. Arena
 	// views under -zerocopy already have their storage.
+	e.params = !e.checked && cfg.options().Params
 	e.low = backend.Lowering{
 		Format: cfg.Format, Opts: cfg.options(), Verify: cfg.Verify,
-		PlanStorage: !e.checked, Skip: e.zcAliasDecode, VerifyAlias: true,
+		PlanStorage: e.params, Skip: e.zcAliasDecode, VerifyAlias: true,
 	}
 	if cfg.Stats != nil {
 		e.low.Counters = &cfg.Stats.Verify
@@ -194,6 +195,9 @@ type emitter struct {
 	// zc emits the zero-copy call shapes (PutBytesZC / AliasNext) for
 	// regions carrying a verifier-approved alias-safe proof.
 	zc bool
+	// params manages unmarshaled parameter storage: the message slab,
+	// and lent in-parameter arrays for //flick:borrow operations.
+	params bool
 
 	// low lowers, plans and verifies each message's program (the kit's
 	// sequence); subs schedules the out-of-line routines.
@@ -209,9 +213,9 @@ type emitter struct {
 	// fn is the generated function being emitted.
 	fn *function
 	// borrowed records, per unmarshal function name, the roots whose
-	// decoded value holds an arena view (-zerocopy only): the dispatch
-	// arm ends the borrow of a request's, the server interface names
-	// them.
+	// decoded value holds an arena view (-zerocopy only) or lent
+	// in-parameter storage: the dispatch arm ends the borrow of a
+	// request's, the server interface names them.
 	borrowed map[string][]string
 
 	usesBinary  bool
@@ -245,6 +249,9 @@ type function struct {
 	// receive arena, so their length items skip the make (unmarshal
 	// only, -zerocopy only).
 	zcVals map[string]bool
+	// lend names the roots whose array storage comes from rt.Borrow
+	// instead of make (a //flick:borrow request unmarshal).
+	lend map[string]bool
 }
 
 // pf writes one or more lines of generated code. Layout is gofmt's
@@ -364,7 +371,7 @@ func (e *emitter) stubFuncs(s *presc.Stub) error {
 		return err
 	}
 	// Request unmarshal (server side).
-	if err := e.unmarshalFunc("Unmarshal"+prefix+"Request", reqRoots, nil); err != nil {
+	if err := e.unmarshalFunc("Unmarshal"+prefix+"Request", reqRoots, nil, e.lendable(s)); err != nil {
 		return err
 	}
 
@@ -377,7 +384,7 @@ func (e *emitter) stubFuncs(s *presc.Stub) error {
 		if err := e.marshalFunc("Marshal"+prefix+"Chunk", "", -1, chunkRoots); err != nil {
 			return err
 		}
-		return e.unmarshalFunc("Unmarshal"+prefix+"Chunk", chunkRoots, nil)
+		return e.unmarshalFunc("Unmarshal"+prefix+"Chunk", chunkRoots, nil, nil)
 	}
 	if s.Oneway {
 		return nil
@@ -398,7 +405,31 @@ func (e *emitter) stubFuncs(s *presc.Stub) error {
 		}
 	}
 	// Reply unmarshal: status switch over results and exceptions.
-	return e.unmarshalFunc("Unmarshal"+prefix+"Reply", repRoots, s)
+	return e.unmarshalFunc("Unmarshal"+prefix+"Reply", repRoots, s, nil)
+}
+
+// lendable returns the request parameters of a //flick:borrow stub whose
+// storage the runtime lends: in-only arrays of fixed-size atoms (or
+// enums) presented as Go slices. Octet and char arrays are byte data,
+// which the slab and the zero-copy path already manage; an inout
+// parameter is not lent; nor is any request of a baseline style or with
+// parameter management off.
+func (e *emitter) lendable(s *presc.Stub) map[string]bool {
+	if !s.Borrow || !e.params {
+		return nil
+	}
+	lend := map[string]bool{}
+	for _, p := range s.RequestParams() {
+		n := p.Request.Resolve()
+		if p.Role != presc.RoleRequest || n.Kind != pres.CountedKind || len(n.Children) != 1 {
+			continue
+		}
+		if el := n.Elem().Resolve(); (el.Kind == pres.DirectKind || el.Kind == pres.EnumKind) &&
+			ctypeOf(el) != "byte" && ctypeOf(n) == "[]"+ctypeOf(el) {
+			lend[p.Name] = true
+		}
+	}
+	return lend
 }
 
 func ctypeOf(n *pres.Node) string {
@@ -445,8 +476,9 @@ func (e *emitter) marshalFunc(name, doc string, status int, roots []mir.Root) er
 
 // unmarshalFunc emits the function decoding roots. With reply set it
 // decodes s's whole reply: the status word first, then the roots on
-// status 0 or the matching declared exception, returned as err.
-func (e *emitter) unmarshalFunc(name string, roots []mir.Root, reply *presc.Stub) error {
+// status 0 or the matching declared exception, returned as err. The
+// arrays of the roots lend names take lent storage.
+func (e *emitter) unmarshalFunc(name string, roots []mir.Root, reply *presc.Stub, lend map[string]bool) error {
 	prog, err := e.low.Program(name, mir.Unmarshal, roots)
 	if err != nil {
 		return err
@@ -455,9 +487,9 @@ func (e *emitter) unmarshalFunc(name string, roots []mir.Root, reply *presc.Stub
 	for _, r := range roots {
 		results = append(results, r.Name+" "+ctypeOf(r.Pres))
 	}
-	e.borrowed[name] = e.borrowedRoots(prog, roots)
+	e.borrowed[name] = e.borrowedRoots(prog, roots, lend)
 	doc := fmt.Sprintf("decodes the message payload (%s class, %s)", prog.Class, e.cfg.Format.Name())
-	f := &function{prog: prog, retErr: "err = d.Err()\nreturn"}
+	f := &function{prog: prog, retErr: "err = d.Err()\nreturn", lend: lend}
 	f.tail = f.retErr
 	var exProgs []*mir.Program
 	if reply != nil {

@@ -2,6 +2,7 @@ package gostub
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"flick/internal/mir"
@@ -188,13 +189,15 @@ func (e *emitter) zcAliasDecode(op *mir.Bulk) bool {
 }
 
 // borrowedRoots returns, in root order, the names of the roots whose
-// decoded value holds an arena view: a zcAliasDecode bulk addresses
-// them, directly or through a loop element, an optional, a union arm or
-// a subprogram.
-func (e *emitter) borrowedRoots(prog *mir.Program, roots []mir.Root) []string {
-	if !e.zc {
+// decoded value holds lent storage (the roots lend names) or an arena
+// view: a zcAliasDecode bulk addresses them, directly or through a loop
+// element, an optional, a union arm or a subprogram.
+func (e *emitter) borrowedRoots(prog *mir.Program, roots []mir.Root, lend map[string]bool) []string {
+	if !e.zc && len(lend) == 0 {
 		return nil
 	}
+	marked := map[string]bool{}
+	maps.Copy(marked, lend)
 	rootOf := func(r mir.Ref, env map[string]string) string {
 		for {
 			switch x := r.(type) {
@@ -213,7 +216,6 @@ func (e *emitter) borrowedRoots(prog *mir.Program, roots []mir.Root) []string {
 			}
 		}
 	}
-	marked := map[string]bool{}
 	// subViews[i]: subprogram i decodes a view, itself or through a
 	// subprogram it calls (a fixpoint, below: subprograms recurse).
 	subViews := make([]bool, len(prog.Subs))
@@ -251,15 +253,17 @@ func (e *emitter) borrowedRoots(prog *mir.Program, roots []mir.Root) []string {
 		}
 		return found
 	}
-	for changed := true; changed; {
-		changed = false
-		for i, sub := range prog.Subs {
-			if !subViews[i] && walk(sub.Ops, nil, false) {
-				subViews[i], changed = true, true
+	if e.zc {
+		for changed := true; changed; {
+			changed = false
+			for i, sub := range prog.Subs {
+				if !subViews[i] && walk(sub.Ops, nil, false) {
+					subViews[i], changed = true, true
+				}
 			}
 		}
+		walk(prog.Ops, nil, true)
 	}
-	walk(prog.Ops, nil, true)
 	var out []string
 	for _, r := range roots {
 		if marked[r.Name] {
@@ -410,18 +414,22 @@ func (e *emitter) lenItem(op *mir.LenItem, dir mir.Dir) error {
 // allocCounted emits the storage for a just-counted slice value x of
 // type ct: nothing when the bulk that follows aliases the receive arena
 // (AliasNext supplies the storage), a slab window for a planned byte
-// sequence, a make otherwise. Strings get theirs at the payload op.
+// sequence, lent storage for a lendable root, a make otherwise. Strings
+// get theirs at the payload op.
 func (e *emitter) allocCounted(val mir.Ref, ct, n string, slab bool) {
 	if !strings.HasPrefix(ct, "[]") && ct != "ObjectKey" {
 		return
 	}
 	x := e.refExpr(val)
+	root, isRoot := val.(*mir.Param)
 	switch {
 	case e.zc && e.fn.zcVals[val.String()]:
 	case slab && ct == "[]byte":
 		e.pf("%s = d.SlabBytes(%s)", x, n)
 	case slab:
 		e.pf("%s = %s(d.SlabBytes(%s))", x, ct, n)
+	case isRoot && e.fn.lend[root.Name]:
+		e.pf("%s = rt.Borrow[%s](d, %s)", x, strings.TrimPrefix(ct, "[]"), n)
 	default:
 		e.pf("%s = make(%s, %s)", x, ct, n)
 	}

@@ -204,11 +204,12 @@ func (e *emitter) dispatchArm(s *presc.Stub) {
 }
 
 // endBorrow emits, in a dispatch arm whose request unmarshal handed out
-// arena views, the call that declares them returned: the work function
-// is back and whatever the reply takes from its arguments is marshaled
-// (by reference at most — the worker sends the reply before it releases
-// the request decoder), so the receive buffer may recycle. The error
-// exits do not reach it and keep the pin.
+// arena views or lent storage, the call that declares them returned: the
+// work function is back and whatever the reply takes from its arguments
+// is marshaled (by reference at most — the worker sends the reply before
+// it releases the request decoder), so the receive buffer may recycle
+// and the storage be lent again. The error exits do not reach it: they
+// keep the pin and drop the storage.
 func (e *emitter) endBorrow(s *presc.Stub) {
 	if len(e.borrowedArgs(s)) > 0 {
 		e.pf("d.EndBorrow()")
@@ -216,33 +217,44 @@ func (e *emitter) endBorrow(s *presc.Stub) {
 }
 
 // borrowedArgs returns the request parameters of s that its unmarshal
-// function hands out as arena views.
+// function hands out as arena views or in lent storage.
 func (e *emitter) borrowedArgs(s *presc.Stub) []string {
 	return e.borrowed["Unmarshal"+stubPrefix(s)+e.cfg.FuncSuffix+"Request"]
 }
 
 // borrowDoc continues the server interface's doc comment with the
 // argument-lifetime rule of every operation whose arguments arrive as
-// arena views, one //flick:borrowed directive each (flick-lint's
-// arenalife analyzer reads them).
+// arena views or in lent storage, one //flick:borrowed directive each
+// (flick-lint's arenalife analyzer reads them).
 func (e *emitter) borrowDoc(stubs []*presc.Stub) {
-	first := true
+	var lines []string
+	lends := false
 	for _, s := range stubs {
-		names := e.borrowedArgs(s)
-		if len(names) == 0 {
-			continue
+		if names := e.borrowedArgs(s); len(names) > 0 {
+			lines = append(lines, fmt.Sprintf("//flick:borrowed %s %s", pgen.GoName(s.Op), strings.Join(names, " ")))
+			lends = lends || len(e.lendable(s)) > 0
 		}
-		if first {
-			first = false
-			e.pf(`//
+	}
+	switch {
+	case len(lines) == 0:
+		return
+	case lends:
+		e.pf(`//
+// The arguments named below are valid only until the method returns:
+// they alias the request's receive buffer or storage the runtime lends
+// to a later request. An implementation that keeps the values copies
+// them (append([]int32(nil), v...)), and must not store the argument
+// itself, send it or hand it to a goroutine.
+//`)
+	default:
+		e.pf(`//
 // The arguments named below alias the request's receive buffer and are
 // valid only until the method returns: an implementation that keeps
 // the bytes copies them (append([]byte(nil), data...)), and must not
 // store the argument itself, send it or hand it to a goroutine.
 //`)
-		}
-		e.pf("//flick:borrowed %s %s", pgen.GoName(s.Op), strings.Join(names, " "))
 	}
+	e.p(strings.Join(lines, "\n"))
 }
 
 // isAggregate reports the presented kinds the stubs pass by pointer.

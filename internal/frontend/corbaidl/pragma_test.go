@@ -89,3 +89,23 @@ func TestPlainCommentsAreNotPragmas(t *testing.T) {
 		t.Error("prose comment was treated as an annotation")
 	}
 }
+
+// A preceding and a trailing directive can mark the same operation, as
+// test.idl's sum is marked idempotent and borrow.
+func TestBorrowPragmaBesideIdempotent(t *testing.T) {
+	f := mustParse(t, `
+		interface Acct {
+			typedef sequence<long> longs;
+			//flick:idempotent
+			long sum(in longs v); //flick:borrow
+			long keep(in longs v);
+		};
+	`)
+	it := f.LookupInterface("Acct")
+	if op := it.LookupOp("sum"); op == nil || !op.Idempotent || !op.Borrow {
+		t.Errorf("sum = %+v, want idempotent and borrow", op)
+	}
+	if op := it.LookupOp("keep"); op == nil || op.Borrow || op.Idempotent {
+		t.Error("unannotated keep marked")
+	}
+}

@@ -37,9 +37,9 @@ func (l *Lexer) Pragmas() []Pragma { return l.pragmas }
 // retry policy.
 func ApplyFlickPragmas(l *Lexer, f *aoi.File) error {
 	for _, pg := range l.pragmas {
-		if pg.Text != "idempotent" && pg.Text != "stream" {
+		if pg.Text != "idempotent" && pg.Text != "stream" && pg.Text != "borrow" {
 			return &Error{File: l.file, Line: pg.Line, Col: pg.Col,
-				Msg: fmt.Sprintf("unknown //flick: directive %q (supported: idempotent, stream)", pg.Text)}
+				Msg: fmt.Sprintf("unknown //flick: directive %q (supported: idempotent, stream, borrow)", pg.Text)}
 		}
 		op := opAtLine(f, pg.Line)
 		if op == nil {
@@ -51,6 +51,8 @@ func ApplyFlickPragmas(l *Lexer, f *aoi.File) error {
 			op.Idempotent = true
 		case "stream":
 			op.Stream = true
+		case "borrow":
+			op.Borrow = true
 		}
 	}
 	return nil

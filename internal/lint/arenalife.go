@@ -38,7 +38,10 @@ import (
 // parameters (field, global, composite value), send them on a channel,
 // or hand them to a goroutine; returning one is fine — the
 // skeleton marshals the reply before the borrow ends — and so is
-// copying the bytes out, which is how an implementation keeps them.
+// copying the bytes out, which is how an implementation keeps them. The
+// in-parameter arrays of an operation marked //flick:borrow, decoded
+// into storage the runtime lends again after EndBorrow, are named and
+// checked the same way, whatever their element type.
 //
 // The runtime backstops a view escaping past Release by pinning the
 // aliased arena (an escaped view can never observe recycled bytes — it

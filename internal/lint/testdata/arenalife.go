@@ -211,3 +211,35 @@ func (u *unrelated) Put(name string, data []byte) (uint32, error) {
 	u.kept = data
 	return 0, nil
 }
+
+// --- handlers of a //flick:borrow server interface --------------------------
+
+// The in-parameter arrays a //flick:borrow skeleton decodes into lent
+// storage follow the same rule as arena views, whatever their element
+// type.
+
+// SumServer is the interface a Sum implementation provides.
+//
+//flick:borrowed Sum v
+type SumServer interface {
+	Sum(v []int32) (ret int32, err error)
+}
+
+// ok: reads its argument inside the borrow, and keeps a copy.
+type summer struct{ last []int32 }
+
+func (s *summer) Sum(v []int32) (int32, error) {
+	s.last = append(s.last[:0], v...)
+	var t int32
+	for _, x := range v {
+		t += x
+	}
+	return t, nil
+}
+
+type keepingSummer struct{ last []int32 }
+
+func (s *keepingSummer) Sum(v []int32) (int32, error) {
+	s.last = v // want `arena view v stored into a field or global`
+	return 0, nil
+}

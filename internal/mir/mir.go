@@ -59,6 +59,11 @@ type Options struct {
 	// Inline expands aggregate marshal code in place; off, every named
 	// aggregate becomes an out-of-line subprogram call.
 	Inline bool
+	// Params manages unmarshaled parameter storage in back ends whose
+	// stubs allocate what they decode: one slab per message
+	// (PlanStorage), and lent storage for the in-parameter arrays of
+	// operations marked //flick:borrow. Off: one allocation per datum.
+	Params bool
 	// BoundedThreshold is the byte limit under which a
 	// variable-but-bounded segment is treated like a fixed segment for
 	// Ensure grouping (the paper's 8KB threshold).
@@ -152,6 +157,7 @@ func AllOptimizations() Options {
 		Chunk:            true,
 		Memcpy:           true,
 		Inline:           true,
+		Params:           true,
 		BoundedThreshold: 8 << 10,
 	}
 }

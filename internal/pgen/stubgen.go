@@ -33,6 +33,7 @@ func (b *MintBuilder) newStub(it *aoi.Interface, op *aoi.Operation, side presc.S
 		Oneway:     op.Oneway,
 		Idempotent: op.Idempotent,
 		Stream:     op.Stream,
+		Borrow:     op.Borrow,
 		Request:    b.BuildRequest(it.Name, op),
 	}
 	if !op.Oneway {

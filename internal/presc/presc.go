@@ -120,6 +120,10 @@ type Stub struct {
 	// reply. Stream stubs are never oneway, carry no reply params, and
 	// raise no exceptions.
 	Stream bool
+	// Borrow carries the AOI operation's //flick:borrow mark: the Go
+	// back end decodes the request's in-parameter arrays into storage
+	// the runtime lends for the length of the work function.
+	Borrow bool
 	// CDecl is the stub's target-language declaration (a *cast.FuncDecl
 	// for C presentations; a signature string for Go).
 	CDecl any

@@ -56,7 +56,7 @@ func (b *benchImpl) Ping(nonce int32) (err error) {
 var _ BenchXDRServer = (*benchImpl)(nil)
 var _ BenchCDRServer = (*benchImpl)(nil)
 
-func startPipeServerXDR(t *testing.T, impl *benchImpl) rt.Conn {
+func startPipeServerXDR(t *testing.T, impl BenchXDRServer) rt.Conn {
 	t.Helper()
 	clientEnd, serverEnd := rt.Pipe()
 	s := rt.NewServer(rt.ONC{})

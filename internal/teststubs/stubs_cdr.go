@@ -235,7 +235,7 @@ func UnmarshalBenchSumCDRRequest(d *rt.Decoder) (v []int32, err error) {
 		err = d.Err()
 		return
 	}
-	v = make([]int32, n11)
+	v = rt.Borrow[int32](d, n11)
 	if !d.EnsureDyn(0, 4, n11) {
 		err = d.Err()
 		return
@@ -535,6 +535,14 @@ func (c *BenchCDRClient) Ping(nonce int32) (err error) {
 }
 
 // BenchCDRServer is the interface a Bench implementation provides.
+//
+// The arguments named below are valid only until the method returns:
+// they alias the request's receive buffer or storage the runtime lends
+// to a later request. An implementation that keeps the values copies
+// them (append([]int32(nil), v...)), and must not store the argument
+// itself, send it or hand it to a goroutine.
+//
+//flick:borrowed Sum v
 type BenchCDRServer interface {
 	SendInts(v []int32) (err error)
 	SendRects(v []BenchRect) (err error)
@@ -567,6 +575,7 @@ func RegisterBenchCDR(s *rt.Server, impl BenchCDRServer) {
 					return workErr
 				}
 				MarshalBenchSumCDRReply(e, r_ret)
+				d.EndBorrow()
 				return nil
 			}
 		case 4:

@@ -222,7 +222,7 @@ func UnmarshalBenchSumFlukeRequest(d *rt.Decoder) (v []int32, err error) {
 		err = d.Err()
 		return
 	}
-	v = make([]int32, n11)
+	v = rt.Borrow[int32](d, n11)
 	if !d.EnsureDyn(0, 4, n11) {
 		err = d.Err()
 		return
@@ -498,6 +498,14 @@ func (c *BenchFlukeClient) Ping(nonce int32) (err error) {
 }
 
 // BenchFlukeServer is the interface a Bench implementation provides.
+//
+// The arguments named below are valid only until the method returns:
+// they alias the request's receive buffer or storage the runtime lends
+// to a later request. An implementation that keeps the values copies
+// them (append([]int32(nil), v...)), and must not store the argument
+// itself, send it or hand it to a goroutine.
+//
+//flick:borrowed Sum v
 type BenchFlukeServer interface {
 	SendInts(v []int32) (err error)
 	SendRects(v []BenchRect) (err error)
@@ -564,6 +572,7 @@ func RegisterBenchFluke(s *rt.Server, impl BenchFlukeServer) {
 				return workErr
 			}
 			MarshalBenchSumFlukeReply(e, r_ret)
+			d.EndBorrow()
 			return nil
 		case 4:
 			h.OpName = "list_dir"

@@ -263,7 +263,7 @@ func UnmarshalBenchSumXDRRequest(d *rt.Decoder) (v []int32, err error) {
 		err = d.Err()
 		return
 	}
-	v = make([]int32, n11)
+	v = rt.Borrow[int32](d, n11)
 	if !d.EnsureDyn(0, 4, n11) {
 		err = d.Err()
 		return
@@ -547,6 +547,14 @@ func (c *BenchXDRClient) Ping(nonce int32) (err error) {
 }
 
 // BenchXDRServer is the interface a Bench implementation provides.
+//
+// The arguments named below are valid only until the method returns:
+// they alias the request's receive buffer or storage the runtime lends
+// to a later request. An implementation that keeps the values copies
+// them (append([]int32(nil), v...)), and must not store the argument
+// itself, send it or hand it to a goroutine.
+//
+//flick:borrowed Sum v
 type BenchXDRServer interface {
 	SendInts(v []int32) (err error)
 	SendRects(v []BenchRect) (err error)
@@ -613,6 +621,7 @@ func RegisterBenchXDR(s *rt.Server, impl BenchXDRServer) {
 				return workErr
 			}
 			MarshalBenchSumXDRReply(e, r_ret)
+			d.EndBorrow()
 			return nil
 		case 4:
 			h.OpName = "list_dir"

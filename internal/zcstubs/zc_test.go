@@ -164,8 +164,9 @@ func (sizeStore) Put(name string, data []byte) (uint32, error) {
 }
 
 // TestZeroCopyPutAllocGuard pins the end-to-end half: a 256 KiB Put over
-// loopback TCP — client and server in this process — allocates at most
-// three objects and under 1 kB per call once warm. The request is
+// loopback TCP — client and server in this process — allocates one
+// object, the server's decoded name string, and under 1 kB per call
+// once warm (a window of 200 calls may catch a few strays). The request is
 // aliased on both sides, and the server's view gives its receive buffer
 // back when the work function returns (the skeleton's EndBorrow), so the
 // 260 KiB buffer recycles instead of being pinned for the collector.
@@ -213,11 +214,11 @@ func TestZeroCopyPutAllocGuard(t *testing.T) {
 		}
 		allocs = float64(m1.Mallocs-m0.Mallocs) / runs
 		bytes = float64(m1.TotalAlloc-m0.TotalAlloc) / runs
-		if allocs <= 3 && bytes < 1000 {
+		if allocs < 1.05 && bytes < 1000 {
 			return
 		}
 	}
-	t.Errorf("%.2f allocs and %.0f bytes per 256 KiB Put, want <= 3 and < 1000", allocs, bytes)
+	t.Errorf("%.2f allocs and %.0f bytes per 256 KiB Put, want one (< 1.05) and < 1000", allocs, bytes)
 }
 
 // Sub-threshold payloads take the copying path: correct answer, no

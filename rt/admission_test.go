@@ -232,3 +232,40 @@ func TestAdmissionOnewayShedSilently(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestAdmissionShedAllocs: shedding is meant to be cheap precisely when
+// the server is busiest, so a call refused by admission control costs
+// no more allocations than one the server accepts and dispatches. The
+// refusal's reply header goes out without escaping to the heap.
+func TestAdmissionShedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	cliEnd, srvEnd := Pipe()
+	s := NewServer(ONC{})
+	// Procedure 9 weighs more than the whole capacity: always shed.
+	s.Admission = &Admission{MaxLoad: 1, Weights: map[string]int{"proc-9": 2}}
+	s.Register(7, 1, echoDispatch)
+	done := make(chan struct{})
+	go func() { defer close(done); s.ServeConn(srvEnd) }()
+	t.Cleanup(func() { cliEnd.Close(); <-done })
+	c := newEchoClient(cliEnd)
+	marshal := func(e *Encoder) { e.PutU32BEC(4) }
+	call := func(proc uint32, want error) func() {
+		return func() {
+			d, err := c.Call(proc, "double", false, marshal)
+			if !errors.Is(err, want) {
+				t.Fatalf("proc %d: err = %v, want %v", proc, err, want)
+			}
+			if d != nil {
+				d.Release()
+			}
+		}
+	}
+	accepted := testing.AllocsPerRun(300, call(1, nil))
+	shed := testing.AllocsPerRun(300, call(9, ErrOverloaded))
+	t.Logf("accepted %.2f allocs/op, shed %.2f", accepted, shed)
+	if shed > accepted {
+		t.Errorf("a shed call allocates %.2f/op, an accepted one %.2f/op", shed, accepted)
+	}
+}

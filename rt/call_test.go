@@ -364,3 +364,56 @@ func TestStubClosureStaysOnStack(t *testing.T) {
 		t.Errorf("a per-call marshal closure costs %.0f allocs/op, a hoisted one %.0f: the closure escaped", perCall, base)
 	}
 }
+
+// TestCallAllocs is the call path's allocation guard: a released call —
+// the generated stubs' shape — allocates nothing in steady state, over
+// the in-process pipe and over loopback TCP, with no tracer and with a
+// tracer whose sampler declines. The request header stays on the
+// caller's stack, and the encoder, decoder, call slot and receive
+// buffers are all pooled.
+func TestCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	transports := []struct {
+		name string
+		dial func(t *testing.T) Conn
+	}{
+		{"pipe", func(t *testing.T) Conn { return startEchoServer(t, 1) }},
+		{"tcp", func(t *testing.T) Conn {
+			cliEnd, srvEnd := loopbackPair(t)
+			s := NewServer(ONC{})
+			s.Register(7, 1, echoDispatch)
+			done := make(chan struct{})
+			go func() { defer close(done); s.ServeConn(srvEnd) }()
+			t.Cleanup(func() { cliEnd.Close(); <-done })
+			return cliEnd
+		}},
+	}
+	tracers := []struct {
+		name   string
+		tracer *Tracer
+	}{
+		{"no_tracer", nil},
+		{"unsampled", &Tracer{SampleRate: 0, Seed: 1}},
+	}
+	marshal := func(e *Encoder) { e.PutU32BEC(4) }
+	for _, tp := range transports {
+		for _, tr := range tracers {
+			t.Run(tp.name+"/"+tr.name, func(t *testing.T) {
+				c := newEchoClient(tp.dial(t))
+				c.Tracer = tr.tracer
+				avg := testing.AllocsPerRun(300, func() {
+					d, err := c.Call(1, "double", false, marshal)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d.Release()
+				})
+				if avg != 0 {
+					t.Errorf("released Call allocates %.2f/op, want 0", avg)
+				}
+			})
+		}
+	}
+}

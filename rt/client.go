@@ -743,7 +743,7 @@ func (cd *callDesc) begin(marshal func(*Encoder)) error {
 		// is unchanged.
 		writeTraceContext(enc, TraceContext{TraceID: ct.tc.TraceID, SpanID: cd.attemptID, Sampled: true})
 	}
-	c.proto.WriteRequest(enc, &h)
+	writeRequest(c.proto, enc, &h)
 	marshal(enc)
 	if metrics != nil {
 		metrics.Op(cd.op).ReqBytes.Add(uint64(enc.Len()))

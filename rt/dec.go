@@ -58,6 +58,14 @@ type Decoder struct {
 	// byte sequences the stub hands to its caller live here, so the
 	// decoder only ever holds the reference until the next Reset.
 	slab []byte
+	// params is the server in-parameter storage Borrow lends arrays of
+	// atoms from, in words so every atom type is aligned; lent is how
+	// many words the current message has taken. Unlike the slab it
+	// outlives the message: EndBorrow returns what was lent, and only
+	// returned storage is lent again. Storage still lent at Reset is
+	// dropped.
+	params []uint64
+	lent   int
 }
 
 // relim recomputes the fast-path limit after anything that rebinds
@@ -120,6 +128,12 @@ func (d *Decoder) Reset(payload []byte) {
 	d.lease = nil
 	d.aliased = false
 	d.slab = nil
+	if d.lent != 0 {
+		// Nobody ended the borrow (an error exit, a recovered panic, a
+		// caller that decodes without a skeleton): whoever holds the
+		// arrays may keep them, so they are never lent again.
+		d.params, d.lent = nil, 0
+	}
 	d.relim()
 }
 
@@ -157,7 +171,58 @@ func (d *Decoder) AliasNext(n int) []byte {
 // stubs never call it (a zero-copy result is handed to the application
 // with no scope), and neither does a dispatcher that cannot vouch for
 // its handler: both keep the pin.
-func (d *Decoder) EndBorrow() { d.aliased = false }
+//
+// The same rule ends the borrow of the in-parameter arrays Borrow lent:
+// their storage is lent again to the next message this decoder reads
+// (race builds poison it first, so a handler that kept one reads 0xDB).
+func (d *Decoder) EndBorrow() {
+	d.aliased = false
+	if d.lent != 0 {
+		if raceEnabled {
+			poison(unsafe.Slice((*byte)(unsafe.Pointer(&d.params[0])), 8*d.lent))
+		}
+		d.lent = 0
+	}
+}
+
+// maxParamBytes bounds the in-parameter storage one decoder keeps: a
+// larger array is allocated on its own, as without Borrow.
+const maxParamBytes = 64 << 10
+
+// Atom is the element types Borrow lends storage for: fixed-size scalars
+// that hold no pointers.
+type Atom interface {
+	~bool | ~int8 | ~uint8 | ~int16 | ~uint16 | ~int32 | ~uint32 |
+		~int64 | ~uint64 | ~float32 | ~float64
+}
+
+// Borrow returns zeroed storage for n elements of a decoded server
+// in-parameter, taken from d's in-parameter storage instead of a fresh
+// allocation: the paper's parameter management. It is the request
+// unmarshal of an operation marked //flick:borrow that calls it, and
+// the array is valid only until the work function returns, when the
+// generated skeleton calls EndBorrow. Without that call — a direct
+// Unmarshal…Request caller, an error exit — the storage is never lent
+// again, so the array behaves exactly like one from make. Storage that
+// does not fit (n too large, or the message already took the decoder's
+// bound) is a plain allocation.
+func Borrow[T Atom](d *Decoder, n int) []T {
+	var zero T
+	size := n * int(unsafe.Sizeof(zero))
+	end := d.lent + (size+7)/8
+	if n <= 0 || 8*end > maxParamBytes {
+		return make([]T, n)
+	}
+	if end > len(d.params) {
+		// Arrays this message already took keep the old storage; the new
+		// one is sized for the whole message so the next one fits.
+		d.params = make([]uint64, end)
+	}
+	s := unsafe.Slice((*T)(unsafe.Pointer(&d.params[d.lent])), n)
+	d.lent = end
+	clear(s)
+	return s
+}
 
 // Err returns the sticky error, if any.
 func (d *Decoder) Err() error { return d.err }

@@ -132,33 +132,6 @@ func TestTCPFrameAllocs(t *testing.T) {
 	}
 }
 
-// TestTCPCallAllocs: a released Client.Call over loopback TCP stays at
-// the in-process pipe's floor of 2 (the rendezvous hand-offs) plus
-// slack — the transport itself adds none.
-func TestTCPCallAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under -race")
-	}
-	cliEnd, srvEnd := loopbackPair(t)
-	s := NewServer(ONC{})
-	s.Register(7, 1, echoDispatch)
-	done := make(chan struct{})
-	go func() { defer close(done); s.ServeConn(srvEnd) }()
-	t.Cleanup(func() { cliEnd.Close(); <-done })
-	c := newEchoClient(cliEnd)
-	marshal := func(e *Encoder) { e.PutU32BEC(4) }
-	avg := testing.AllocsPerRun(300, func() {
-		d, err := c.Call(1, "double", false, marshal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Release()
-	})
-	if avg > 3 {
-		t.Errorf("released Call over TCP allocates %.1f/op (budget 3)", avg)
-	}
-}
-
 // TestUDPRecvAllocs: a datagram out and back allocates nothing beyond
 // the arena buffers (recycled here) — no address object per datagram.
 func TestUDPRecvAllocs(t *testing.T) {

@@ -729,24 +729,6 @@ func TestClientCallSpans(t *testing.T) {
 
 // --- zero-cost disabled path ------------------------------------------------
 
-// TestCallAllocsUnchanged guards the fast path: with observability
-// disabled, a loopback Call must not allocate more than the seed's
-// baseline (5 allocs: pipe message + decoder bookkeeping).
-func TestCallAllocsUnchanged(t *testing.T) {
-	conn, _, _ := startObservedServer(t)
-	c := NewClient(conn, ONC{})
-	c.Prog, c.Vers = 7, 1
-	marshal := func(e *Encoder) { e.PutU32BEC(4) }
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := c.Call(1, "double", false, marshal); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 5 {
-		t.Errorf("Call allocates %.1f/op with observability disabled (budget 5)", avg)
-	}
-}
-
 func TestObservePathAllocs(t *testing.T) {
 	var h Histogram
 	if avg := testing.AllocsPerRun(100, func() { h.Observe(time.Microsecond) }); avg != 0 {

@@ -373,29 +373,3 @@ func TestCallTimeout(t *testing.T) {
 		t.Errorf("BadXIDs = %d (late reply poisoned the client)", got)
 	}
 }
-
-// TestReleasedCallAllocs guards the pooled buffer-ownership fast path:
-// a loopback Call whose caller releases the reply decoder (as generated
-// stubs do) must stay within the seed's 5-alloc budget with room to
-// spare — the pools exist to get the steady state below it.
-func TestReleasedCallAllocs(t *testing.T) {
-	conn := startEchoServer(t, 1)
-	c := newEchoClient(conn)
-	marshal := func(e *Encoder) { e.PutU32BEC(4) }
-	avg := testing.AllocsPerRun(200, func() {
-		d, err := c.Call(1, "double", false, marshal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !d.Ensure(4) {
-			t.Fatal(d.Err())
-		}
-		d.U32BE()
-		d.Release()
-	})
-	// 2 pipe copies + header escapes; the pooled encoder, decoder, and
-	// call slot must not add steady-state allocations.
-	if avg > 5 {
-		t.Errorf("released Call allocates %.1f/op (budget 5)", avg)
-	}
-}

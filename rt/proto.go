@@ -84,6 +84,44 @@ type Protocol interface {
 	ReadReply(d *Decoder) (RepHeader, error)
 }
 
+// writeRequest writes h through p. The runtime's own protocols are called
+// concretely: none of their WriteRequest or WriteReply methods retains
+// the header, so the caller's header stays on its stack instead of
+// escaping through the interface call. Any other Protocol gets a copy
+// declared in its own arm, so only it pays the allocation.
+func writeRequest(p Protocol, e *Encoder, h *ReqHeader) {
+	switch p := p.(type) {
+	case ONC:
+		p.WriteRequest(e, h)
+	case GIOP:
+		p.WriteRequest(e, h)
+	case Mach:
+		p.WriteRequest(e, h)
+	case Fluke:
+		p.WriteRequest(e, h)
+	default:
+		hc := *h
+		p.WriteRequest(e, &hc)
+	}
+}
+
+// writeReply is writeRequest for reply headers.
+func writeReply(p Protocol, e *Encoder, h *RepHeader) {
+	switch p := p.(type) {
+	case ONC:
+		p.WriteReply(e, h)
+	case GIOP:
+		p.WriteReply(e, h)
+	case Mach:
+		p.WriteReply(e, h)
+	case Fluke:
+		p.WriteReply(e, h)
+	default:
+		hc := *h
+		p.WriteReply(e, &hc)
+	}
+}
+
 // ErrSystem reports a peer-side dispatch failure.
 var ErrSystem = errors.New("rt: system error from peer")
 

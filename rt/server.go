@@ -547,7 +547,8 @@ func (s *Server) refuse(sc *servingConn, h *ReqHeader, d *Decoder, begin time.Ti
 	putDecoder(d)
 	if why.status != ReplyOK && !h.OneWay {
 		enc := getEncoder()
-		s.proto.WriteReply(enc, &RepHeader{XID: h.XID, Status: why.status})
+		rh := RepHeader{XID: h.XID, Status: why.status}
+		writeReply(s.proto, enc, &rh)
 		if err := sc.conn.Send(enc.Bytes()); err != nil {
 			sc.fail.record(sc.conn, err)
 		}

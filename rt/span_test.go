@@ -252,32 +252,6 @@ func TestErrorSpansRecordedWhenUnsampled(t *testing.T) {
 	}
 }
 
-// TestTracingDisabledAllocs pins the tracing fast paths: a loopback
-// call with no Tracer attached, and one with a Tracer whose sampler
-// declines, must both stay at the seed's 4 allocs/op — attaching a
-// tracer at 0% sampling is free.
-func TestTracingDisabledAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes allocation counts; the non-race run enforces the budget")
-	}
-	conn, _, _ := startObservedServer(t)
-	c := NewClient(conn, ONC{})
-	c.Prog, c.Vers = 7, 1
-	marshal := func(e *Encoder) { e.PutU32BEC(4) }
-	call := func() {
-		if _, err := c.Call(1, "double", false, marshal); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if avg := testing.AllocsPerRun(300, call); avg > 4 {
-		t.Errorf("Call allocates %.1f/op with no tracer (budget 4)", avg)
-	}
-	c.Tracer = &Tracer{SampleRate: 0, Seed: 1}
-	if avg := testing.AllocsPerRun(300, call); avg > 4 {
-		t.Errorf("Call allocates %.1f/op with an unsampled tracer (budget 4)", avg)
-	}
-}
-
 // --- debug surface ------------------------------------------------------------
 
 func TestDebugDumpAndHandler(t *testing.T) {

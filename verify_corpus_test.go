@@ -132,17 +132,18 @@ func (d *corpusDigests) close() {
 }
 
 // disableSubsets lists the -disable subsets a corpus gate compiles under,
-// as bit masks over group, chunk, memcpy, inline: all sixteen for the
-// optimizing style (-short keeps all-on and all-off), none for the
-// baselines, whose optimizations are off to begin with. keep filters
-// (the zerocopy gate cannot disable memcpy).
+// as bit masks over group, chunk, memcpy, inline, params: all sixteen
+// subsets of the first four for the optimizing style (-short keeps
+// all-on and all-off), plus params alone against all-on, and none for
+// the baselines, whose optimizations are off to begin with. keep
+// filters (the zerocopy gate cannot disable memcpy).
 func disableSubsets(style string, keep func(mask int) bool) []int {
 	if style != "flick" {
 		return []int{0}
 	}
 	var masks []int
-	for mask := 0; mask < 16; mask++ {
-		if testing.Short() && mask != 0 && mask != 15 {
+	for mask := 0; mask <= paramsOff; mask++ {
+		if testing.Short() && mask != 0 && mask != 15 && mask != paramsOff {
 			continue
 		}
 		if keep == nil || keep(mask) {
@@ -152,13 +153,18 @@ func disableSubsets(style string, keep func(mask int) bool) []int {
 	return masks
 }
 
+// paramsOff is the disableSubsets mask of -disable params, the one
+// mask past the sixteen subsets of the others.
+const paramsOff = 16
+
 // withDisabled applies a disableSubsets mask to opts and spells it the
 // way the -disable flag would.
 func withDisabled(opts flick.Options, mask int) (flick.Options, string) {
 	opts.DisableGroup, opts.DisableChunk = mask&1 != 0, mask&2 != 0
 	opts.DisableMemcpy, opts.DisableInline = mask&4 != 0, mask&8 != 0
+	opts.DisableParams = mask&paramsOff != 0
 	var names []string
-	for i, name := range []string{"group", "chunk", "memcpy", "inline"} {
+	for i, name := range []string{"group", "chunk", "memcpy", "inline", "params"} {
 		if mask&(1<<i) != 0 {
 			names = append(names, name)
 		}
@@ -204,7 +210,10 @@ func TestVerifyCorpusZeroFindings(t *testing.T) {
 			for _, format := range []string{"xdr", "cdr", "cdr-le", "mach3", "fluke"} {
 				for _, style := range []string{"flick", "rpcgen", "powerrpc"} {
 					for _, face := range faces {
-						for _, mask := range disableSubsets(style, nil) {
+						// Parameter management is the Go stubs' (C
+						// unmarshals in place).
+						goOnly := func(mask int) bool { return lang == "go" || mask != paramsOff }
+						for _, mask := range disableSubsets(style, goOnly) {
 							base := flick.Options{
 								Lang: lang, Format: format, Style: style,
 								Package: "p", EmitRPC: lang == "go",
