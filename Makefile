@@ -102,7 +102,7 @@ PKGS_fleet         := ./rt ./internal/experiment
 REPORT_fleet       := fleet
 SHORT_REPORT_fleet := fleet
 
-RUN_trace    := TestTraceSoak|TestTracePropagates|TestCallAllocs|TestDupCachedResend|TestPoolFailoverKeepsTrace
+RUN_trace    := TestTraceSoak|TestTracePropagates|TestTracingDisabledAllocs|TestDupCachedResend|TestPoolFailoverKeepsTrace
 PKGS_trace   := ./rt ./internal/experiment
 REPORT_trace := trace
 

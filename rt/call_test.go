@@ -365,55 +365,72 @@ func TestStubClosureStaysOnStack(t *testing.T) {
 	}
 }
 
-// TestCallAllocs is the call path's allocation guard: a released call —
-// the generated stubs' shape — allocates nothing in steady state, over
-// the in-process pipe and over loopback TCP, with no tracer and with a
-// tracer whose sampler declines. The request header stays on the
-// caller's stack, and the encoder, decoder, call slot and receive
-// buffers are all pooled.
-func TestCallAllocs(t *testing.T) {
+// --- call allocation guards ---------------------------------------------------
+//
+// A released call — the generated stubs' shape — allocates nothing in
+// steady state, over the in-process pipe and over loopback TCP, with no
+// tracer and with a tracer whose sampler declines. The request header
+// stays on the caller's stack, and the encoder, decoder, call slot and
+// receive buffers are all pooled. Each guard below pins one slice of
+// that matrix at budget 0 through checkCallAllocs.
+
+// checkCallAllocs fails t unless a released double() call through conn,
+// with tracer attached to the client, allocates nothing per call.
+func checkCallAllocs(t *testing.T, conn Conn, tracer *Tracer) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	transports := []struct {
-		name string
-		dial func(t *testing.T) Conn
-	}{
-		{"pipe", func(t *testing.T) Conn { return startEchoServer(t, 1) }},
-		{"tcp", func(t *testing.T) Conn {
-			cliEnd, srvEnd := loopbackPair(t)
-			s := NewServer(ONC{})
-			s.Register(7, 1, echoDispatch)
-			done := make(chan struct{})
-			go func() { defer close(done); s.ServeConn(srvEnd) }()
-			t.Cleanup(func() { cliEnd.Close(); <-done })
-			return cliEnd
-		}},
-	}
-	tracers := []struct {
-		name   string
-		tracer *Tracer
-	}{
-		{"no_tracer", nil},
-		{"unsampled", &Tracer{SampleRate: 0, Seed: 1}},
-	}
+	c := newEchoClient(conn)
+	c.Tracer = tracer
 	marshal := func(e *Encoder) { e.PutU32BEC(4) }
-	for _, tp := range transports {
-		for _, tr := range tracers {
-			t.Run(tp.name+"/"+tr.name, func(t *testing.T) {
-				c := newEchoClient(tp.dial(t))
-				c.Tracer = tr.tracer
-				avg := testing.AllocsPerRun(300, func() {
-					d, err := c.Call(1, "double", false, marshal)
-					if err != nil {
-						t.Fatal(err)
-					}
-					d.Release()
-				})
-				if avg != 0 {
-					t.Errorf("released Call allocates %.2f/op, want 0", avg)
-				}
-			})
+	avg := testing.AllocsPerRun(300, func() {
+		d, err := c.Call(1, "double", false, marshal)
+		if err != nil {
+			t.Fatal(err)
 		}
+		d.Release()
+	})
+	if avg != 0 {
+		t.Errorf("released Call allocates %.2f/op, want 0", avg)
 	}
+}
+
+// startTCPEchoServer serves echoDispatch over a loopback TCP pair and
+// returns the client end.
+func startTCPEchoServer(t *testing.T) Conn {
+	t.Helper()
+	cliEnd, srvEnd := loopbackPair(t)
+	s := NewServer(ONC{})
+	s.Register(7, 1, echoDispatch)
+	done := make(chan struct{})
+	go func() { defer close(done); s.ServeConn(srvEnd) }()
+	t.Cleanup(func() { cliEnd.Close(); <-done })
+	return cliEnd
+}
+
+// TestReleasedCallAllocs: the pipe with no tracer.
+func TestReleasedCallAllocs(t *testing.T) {
+	checkCallAllocs(t, startEchoServer(t, 1), nil)
+}
+
+// TestTCPCallAllocs: loopback TCP adds nothing to the pipe's floor, with
+// no tracer and with an unsampled one.
+func TestTCPCallAllocs(t *testing.T) {
+	t.Run("no_tracer", func(t *testing.T) { checkCallAllocs(t, startTCPEchoServer(t), nil) })
+	t.Run("unsampled", func(t *testing.T) {
+		checkCallAllocs(t, startTCPEchoServer(t), &Tracer{SampleRate: 0, Seed: 1})
+	})
+}
+
+// TestTracingDisabledAllocs: attaching a tracer at 0% sampling is free.
+func TestTracingDisabledAllocs(t *testing.T) {
+	checkCallAllocs(t, startEchoServer(t, 1), &Tracer{SampleRate: 0, Seed: 1})
+}
+
+// TestCallAllocsUnchanged: server-side metrics leave the call at zero
+// when the client's observability is off.
+func TestCallAllocsUnchanged(t *testing.T) {
+	conn, _, _ := startObservedServer(t)
+	checkCallAllocs(t, conn, nil)
 }

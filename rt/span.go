@@ -28,7 +28,7 @@
 // it. A call that completes with an error is recorded even when
 // unsampled (with a fresh, unpropagated trace ID) so failures never
 // vanish from the ring. The disabled and unsampled paths are
-// allocation-free — pinned by TestCallAllocs.
+// allocation-free — pinned by TestTracingDisabledAllocs and TestTCPCallAllocs.
 package rt
 
 import (
